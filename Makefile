@@ -114,8 +114,9 @@ kernel-smoke:
 	$(GO) test -tags obsoff -run TestKernelsAllocFree ./internal/dense/
 
 # Run every fuzz target for a ~10s budget each: the stream codec, the
-# prefetch pipeline, the OR-library parser, and the SCSTATE1/SCCKPT1
-# snapshot decoders (go test allows one -fuzz target per invocation).
+# prefetch pipeline, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
+# decoders, and the SCWIRE1, SCSTOR1 and SCRING1 parsers (go test allows
+# one -fuzz target per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/stream/
 	$(GO) test -fuzz FuzzPrefetchedFile -fuzztime 10s ./internal/stream/
@@ -124,6 +125,8 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRestore -fuzztime 10s ./internal/snap/
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/snap/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime 10s ./internal/serve/
+	$(GO) test -fuzz FuzzStoreFrame -fuzztime 10s ./internal/serve/store/
+	$(GO) test -fuzz FuzzRingCodec -fuzztime 10s ./internal/serve/ring/
 
 fmt:
 	gofmt -w .

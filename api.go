@@ -434,8 +434,8 @@ type (
 	// timeouts).
 	ServeServerConfig = serve.ServerConfig
 	// ServeCheckpointStore persists detach checkpoints behind a pluggable
-	// Put/Get/Delete/List interface (FileStore, MemStore, or an embedder's
-	// own backend).
+	// Put/Get/Delete/Reserve interface (FileStore, MemStore, or an
+	// embedder's own backend).
 	ServeCheckpointStore = serve.CheckpointStore
 	// ServeServer accepts SCWIRE1 connections and runs one registered
 	// streaming algorithm per session.

@@ -15,6 +15,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("2 2\n1 1\n1 1\n1 2\n")
 	f.Add("999999999 999999999\n")
 	f.Add("4 3\n2 5 1\n1 1\n2 1 2\n2 2 3\n1 0")
+	f.Add("1 48888888888") // a column count no input backs: once an out-of-memory crash
 
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := Parse(strings.NewReader(input))

@@ -65,8 +65,10 @@ func Parse(r io.Reader) (*Instance, error) {
 		return nil, fmt.Errorf("orlib: invalid dimensions %d×%d", rows, cols)
 	}
 
-	costs := make([]int, cols)
-	for j := range costs {
+	// Costs grow as they are read, so a corrupt column count cannot
+	// provoke an allocation the input does not back.
+	var costs []int
+	for j := 0; j < cols; j++ {
 		c, err := next(fmt.Sprintf("cost of column %d", j+1))
 		if err != nil {
 			return nil, err
@@ -74,7 +76,7 @@ func Parse(r io.Reader) (*Instance, error) {
 		if c < 0 {
 			return nil, fmt.Errorf("orlib: negative cost %d for column %d", c, j+1)
 		}
-		costs[j] = c
+		costs = append(costs, c)
 	}
 
 	b := setcover.NewBuilder(rows)

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"streamcover/internal/frame"
 	"streamcover/internal/obs"
 	"streamcover/internal/stream"
 )
@@ -15,15 +16,14 @@ import (
 // ErrDraining).
 type Client struct {
 	conn net.Conn
-	f    *frameIO
+	f    *frame.IO
 	// Timeout bounds each blocking read or write; zero means no limit.
 	Timeout time.Duration
 	// Trace proposes a session trace ID at Hello (zero asks the server to
 	// mint one). After Hello/Resume it holds the session's authoritative
 	// identity: the server echoes the adopted trace in its ack — on resume,
 	// the one stamped into the checkpoint at the original open — and the
-	// field is updated in place. Old servers ack without a trace; the field
-	// then keeps whatever the caller set.
+	// field is updated in place.
 	Trace obs.TraceID
 
 	token string
@@ -34,7 +34,7 @@ type Client struct {
 
 var magicBytes = []byte(Magic)
 
-// errRW is the connection stand-in a closed Client's frameIO points at, so
+// errRW is the connection stand-in a closed Client's frame.IO points at, so
 // a stale handle errors like a closed connection instead of touching pooled
 // buffers.
 type errRW struct{}
@@ -45,15 +45,15 @@ func (errRW) Write([]byte) (int, error) { return 0, net.ErrClosed }
 // Dial connects to a server and queues the protocol magic; it rides ahead
 // of the first frame in one write. No session is open yet — follow with
 // Hello or Resume. Writes coalesce: edge batches seal into a local buffer
-// and ship as one write when it fills or a reply is awaited (readFrame
+// and ship as one write when it fills or a reply is awaited (a frame read
 // flushes).
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, f: clientFrameIOs.get(conn)}
-	c.f.queueRaw(magicBytes)
+	c := &Client{conn: conn, f: clientFrames.Get(conn)}
+	c.f.QueueRaw(magicBytes)
 	return c, nil
 }
 
@@ -63,10 +63,8 @@ func Dial(addr string) (*Client, error) {
 // unflushed frames are dropped, not delivered: a kill is a kill.
 func (c *Client) Close() error {
 	err := c.conn.Close()
-	if f := c.f; f != nil && f.rw != nil {
-		c.f = newFrameIO(errRW{})
-		clientFrameIOs.put(f)
-	}
+	clientFrames.Put(c.f)
+	c.f = frame.New(errRW{}, clientReadWindow, maxFramePayload)
 	return err
 }
 
@@ -104,7 +102,7 @@ func (c *Client) deadlines() {
 // rejecting any type other than want.
 func (c *Client) expect(want byte) ([]byte, error) {
 	c.deadlines()
-	payload, err := c.f.readFrame()
+	payload, err := c.f.Read()
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +120,7 @@ func (c *Client) expect(want byte) ([]byte, error) {
 // assign one; the assigned token is returned (and kept for Resume).
 func (c *Client) Hello(token string, cfg Config) (string, error) {
 	c.deadlines()
-	if err := c.f.writeHello(frameHello, protoV2, token, c.Trace, cfg); err != nil {
+	if err := writeHello(c.f, frameHello, token, c.Trace, cfg); err != nil {
 		return "", err
 	}
 	body, err := c.expect(frameHelloAck)
@@ -133,10 +131,7 @@ func (c *Client) Hello(token string, cfg Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.token, c.sent = tok, pos
-	if !trace.IsZero() {
-		c.Trace = trace
-	}
+	c.token, c.sent, c.Trace = tok, pos, trace
 	return tok, nil
 }
 
@@ -146,7 +141,7 @@ func (c *Client) Hello(token string, cfg Config) (string, error) {
 // state).
 func (c *Client) Resume(token string, cfg Config) (int, error) {
 	c.deadlines()
-	if err := c.f.writeHello(frameResume, protoV2, token, c.Trace, cfg); err != nil {
+	if err := writeHello(c.f, frameResume, token, c.Trace, cfg); err != nil {
 		return 0, err
 	}
 	body, err := c.expect(frameHelloAck)
@@ -157,10 +152,7 @@ func (c *Client) Resume(token string, cfg Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.token, c.sent = tok, pos
-	if !trace.IsZero() {
-		c.Trace = trace
-	}
+	c.token, c.sent, c.Trace = tok, pos, trace
 	return pos, nil
 }
 
@@ -171,7 +163,7 @@ func (c *Client) Resume(token string, cfg Config) (int, error) {
 // backpressure arrives through TCP when the server's session ring is full.
 func (c *Client) SendBatch(edges []stream.Edge) error {
 	c.deadlines()
-	if err := c.f.writeEdges(edges); err != nil {
+	if err := writeEdges(c.f, edges); err != nil {
 		return err
 	}
 	c.sent += len(edges)
@@ -183,14 +175,14 @@ func (c *Client) SendBatch(edges []stream.Edge) error {
 // implicitly.
 func (c *Client) Sync() error {
 	c.deadlines()
-	return c.f.flushWrites()
+	return c.f.Flush()
 }
 
 // Flush blocks until the server has processed everything sent so far and
 // returns the server's consumed position.
 func (c *Client) Flush() (int, error) {
 	c.deadlines()
-	if err := c.f.writeFlush(); err != nil {
+	if err := writeFlush(c.f); err != nil {
 		return 0, err
 	}
 	body, err := c.expect(framePosAck)
@@ -204,7 +196,7 @@ func (c *Client) Flush() (int, error) {
 // the checkpointed position. The connection is done afterwards.
 func (c *Client) Detach() (int, error) {
 	c.deadlines()
-	if err := c.f.writeDetach(); err != nil {
+	if err := writeDetach(c.f); err != nil {
 		return 0, err
 	}
 	body, err := c.expect(framePosAck)
@@ -218,7 +210,7 @@ func (c *Client) Detach() (int, error) {
 // returns the cover, certificate and space report.
 func (c *Client) Finish() (Result, error) {
 	c.deadlines()
-	if err := c.f.writeFinish(); err != nil {
+	if err := writeFinish(c.f); err != nil {
 		return Result{}, err
 	}
 	body, err := c.expect(frameResult)

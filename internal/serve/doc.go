@@ -29,7 +29,8 @@
 //
 // A connection opens with the 8-byte magic "SCWIRE1\n" from the client.
 // Everything after the magic is a sequence of frames, each length-prefixed
-// and CRC-guarded:
+// and CRC-guarded in the framing internal/frame implements for every
+// serving protocol:
 //
 //	frame   = u32 LE payload length | payload | u32 LE CRC-32 (IEEE) of payload
 //	payload = type byte | body

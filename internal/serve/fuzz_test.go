@@ -5,8 +5,8 @@ package serve
 // on: malformed traffic surfaces a typed error (ErrWire, or the ErrRemote
 // family for error frames) — never a panic, never an untyped failure — and
 // anything a parser accepts survives a re-encode/re-parse round trip with
-// the same meaning. Seeds cover both handshake versions, so the fuzzer
-// starts from the v2 trace-carrying frames as well as the classic v1 forms.
+// the same meaning. Seeds include the retired v1 handshake forms (a hello
+// without a trace field, a two-field ack), which must now fail typed.
 
 import (
 	"bytes"
@@ -14,12 +14,13 @@ import (
 	"io"
 	"testing"
 
+	"streamcover/internal/frame"
 	"streamcover/internal/obs"
 	"streamcover/internal/stream"
 )
 
 // fuzzFrame encodes one frame to raw bytes via the production writer.
-func fuzzFrame(f *testing.F, write func(fio *frameIO) error) []byte {
+func fuzzFrame(f *testing.F, write func(fio *frame.IO) error) []byte {
 	f.Helper()
 	var buf bytes.Buffer
 	fio := newFrameIO(&buf)
@@ -42,17 +43,19 @@ func FuzzWireFrame(f *testing.F) {
 	trace := obs.TraceID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 
 	seeds := [][]byte{
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writeHello(frameHello, protoV1, "old", trace, cfg) }),
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writeHello(frameHello, protoV2, "new", trace, cfg) }),
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writeHello(frameResume, protoV2, "res", trace, cfg) }),
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writeHelloAck("tok", 99, obs.TraceID{}) }),
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writeHelloAck("tok", 99, trace) }),
-		fuzzFrame(f, func(fio *frameIO) error {
-			return fio.writeEdges([]stream.Edge{{Set: 39, Elem: 29}, {Set: 0, Elem: 0}})
+		fuzzFrame(f, func(fio *frame.IO) error { return writeV1Hello(fio, "old", cfg) }),
+		fuzzFrame(f, func(fio *frame.IO) error { return writeHello(fio, frameHello, "new", trace, cfg) }),
+		fuzzFrame(f, func(fio *frame.IO) error { return writeHello(fio, frameResume, "res", trace, cfg) }),
+		fuzzFrame(f, func(fio *frame.IO) error { // the v1 two-field ack
+			return fio.End(frame.AppendUvarint(frame.AppendString(append(fio.Begin(), frameHelloAck), "tok"), 99))
 		}),
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writePosAck(4096) }),
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writeFlush() }),
-		fuzzFrame(f, func(fio *frameIO) error { return fio.writeError(codeMismatch, "boom") }),
+		fuzzFrame(f, func(fio *frame.IO) error { return writeHelloAck(fio, "tok", 99, trace) }),
+		fuzzFrame(f, func(fio *frame.IO) error {
+			return writeEdges(fio, []stream.Edge{{Set: 39, Elem: 29}, {Set: 0, Elem: 0}})
+		}),
+		fuzzFrame(f, func(fio *frame.IO) error { return writePosAck(fio, 4096) }),
+		fuzzFrame(f, writeFlush),
+		fuzzFrame(f, func(fio *frame.IO) error { return writeError(fio, codeMismatch, "boom") }),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -69,19 +72,19 @@ func FuzzWireFrame(f *testing.F) {
 	// one crosses the initial read window so refill's compact-and-grow
 	// path starts seeded too.
 	f.Add(bytes.Join([][]byte{seeds[0], seeds[5], seeds[6], seeds[7]}, nil))
-	wide := fuzzFrame(f, func(fio *frameIO) error {
+	wide := fuzzFrame(f, func(fio *frame.IO) error {
 		batch := make([]stream.Edge, 600)
 		for i := range batch {
 			batch[i] = stream.Edge{Set: 39, Elem: 29} // 1-byte varints
 		}
-		return fio.writeEdges(batch)
+		return writeEdges(fio, batch)
 	})
 	f.Add(bytes.Join([][]byte{wide, wide, wide, wide, wide, wide, wide, wide}, nil))
 	// Batch-decoder seeds: two-byte varints (the unrolled fast path's
 	// second case) and a hand-built body with maximal-width varints that
 	// exercise the binary.Uvarint fallback and the guarded tail loop.
-	f.Add(fuzzFrame(f, func(fio *frameIO) error {
-		return fio.writeEdges([]stream.Edge{{Set: 200, Elem: 150}, {Set: 12345, Elem: 4000}})
+	f.Add(fuzzFrame(f, func(fio *frame.IO) error {
+		return writeEdges(fio, []stream.Edge{{Set: 200, Elem: 150}, {Set: 12345, Elem: 4000}})
 	}))
 	maxVarints := []byte{4, 0, 0, 0, frameEdges, 2} // len, type, k=2
 	for i := 0; i < 4; i++ {
@@ -90,12 +93,12 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(maxVarints)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Drain every frame in the input through one frameIO: multi-frame
+		// Drain every frame in the input through one frame.IO: multi-frame
 		// inputs walk the read window across refills exactly like a
 		// coalesced connection drain.
 		fio := newFrameIO(bytes.NewBuffer(data))
 		for {
-			payload, err := fio.readFrame()
+			payload, err := fio.Read()
 			if err != nil {
 				if !wireTyped(err) {
 					t.Fatalf("untyped framing error: %v", err)
@@ -114,7 +117,7 @@ func checkFramePayload(t *testing.T, payload []byte) {
 	t.Helper()
 	switch payload[0] {
 	case frameHello, frameResume:
-		token, tr, ver, got, err := parseHello(payload[1:])
+		token, tr, got, err := parseHello(payload[1:])
 		if err != nil {
 			if !wireTyped(err) {
 				t.Fatalf("untyped hello error: %v", err)
@@ -123,17 +126,17 @@ func checkFramePayload(t *testing.T, payload []byte) {
 		}
 		var buf bytes.Buffer
 		re := newFrameIO(&buf)
-		if err := re.writeHello(payload[0], ver, token, tr, got); err != nil {
+		if err := writeHello(re, payload[0], token, tr, got); err != nil {
 			t.Fatalf("re-encode of accepted hello failed: %v", err)
 		}
-		rp, err := re.readFrame()
+		rp, err := re.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
-		token2, tr2, ver2, got2, err := parseHello(rp[1:])
-		if err != nil || token2 != token || tr2 != tr || ver2 != ver || got2 != got {
-			t.Fatalf("hello round trip drifted: %q/%v/%d/%+v -> %q/%v/%d/%+v (%v)",
-				token, tr, ver, got, token2, tr2, ver2, got2, err)
+		token2, tr2, got2, err := parseHello(rp[1:])
+		if err != nil || token2 != token || tr2 != tr || got2 != got {
+			t.Fatalf("hello round trip drifted: %q/%v/%+v -> %q/%v/%+v (%v)",
+				token, tr, got, token2, tr2, got2, err)
 		}
 	case frameHelloAck:
 		token, pos, tr, err := parseHelloAck(payload[1:], "")
@@ -148,10 +151,10 @@ func checkFramePayload(t *testing.T, payload []byte) {
 		}
 		var buf bytes.Buffer
 		re := newFrameIO(&buf)
-		if err := re.writeHelloAck(token, pos, tr); err != nil {
+		if err := writeHelloAck(re, token, pos, tr); err != nil {
 			t.Fatal(err)
 		}
-		rp, err := re.readFrame()
+		rp, err := re.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +183,8 @@ func checkFramePayload(t *testing.T, payload []byte) {
 			t.Fatalf("untyped error-frame result: %v", err)
 		}
 	case frameFlush, frameFinish, frameDetach:
-		c := cursor{b: payload[1:]}
-		if err := c.done(); err != nil && !wireTyped(err) {
+		c := frame.NewCursor(payload[1:])
+		if err := c.Done(); err != nil && !wireTyped(err) {
 			t.Fatalf("untyped control-frame error: %v", err)
 		}
 	}

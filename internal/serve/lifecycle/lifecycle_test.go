@@ -121,24 +121,40 @@ func TestLifecycleDetachResumeRoundTrip(t *testing.T) {
 
 // TestLifecycleMintSkipsStoredTokens is the restart regression: the token
 // counter is in-memory and resets with the process, so a fresh manager on
-// a store still holding s000001's detach checkpoint must not hand the same
-// token to a new session (whose Finish would delete the detached state).
+// a store still holding detach checkpoints must not hand any of their
+// tokens to a new session (whose Finish would delete the detached state).
+// Minting walks the counter with Reserve alone, so it must step around
+// every stored token and reuse only the one a Finish freed.
 func TestLifecycleMintSkipsStoredTokens(t *testing.T) {
 	cfg := testConfig()
 	edges := testEdges(cfg)
 	st := store.NewMemStore()
 
+	// s000001, s000002 and s000004 detach with checkpoints; s000003
+	// finishes, which frees its token.
 	mgrA, err := NewManager(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessA := mustOpen(t, mgrA, "", cfg)
-	if sessA.Token() != "s000001" {
-		t.Fatalf("first minted token = %q, want s000001", sessA.Token())
-	}
-	feed(sessA, edges[:len(edges)/2])
-	if _, err := mgrA.Detach(sessA, "restart-test"); err != nil {
-		t.Fatal(err)
+	parked := make(map[string]int)
+	for i := 1; i <= 4; i++ {
+		s := mustOpen(t, mgrA, "", cfg)
+		if want := fmt.Sprintf("s%06d", i); s.Token() != want {
+			t.Fatalf("minted token %q, want %q", s.Token(), want)
+		}
+		stop := i * len(edges) / 8
+		feed(s, edges[:stop])
+		if i == 3 {
+			feed(s, edges[stop:])
+			if _, err := mgrA.Finish(s); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if _, err := mgrA.Detach(s, "restart-test"); err != nil {
+			t.Fatal(err)
+		}
+		parked[s.Token()] = stop
 	}
 
 	// "Restart": a new manager on the same store, counter back at zero.
@@ -146,31 +162,29 @@ func TestLifecycleMintSkipsStoredTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessB := mustOpen(t, mgrB, "", cfg)
-	if sessB.Token() == "s000001" {
-		t.Fatal("fresh manager re-minted a token holding a detached checkpoint")
+	for _, want := range []string{"s000003", "s000005"} {
+		s := mustOpen(t, mgrB, "", cfg)
+		if s.Token() != want {
+			t.Fatalf("fresh manager minted %q, want %q (skip held tokens, take the next free one)", s.Token(), want)
+		}
+		// Finishing the new session must leave every parked checkpoint.
+		feed(s, edges)
+		if _, err := mgrB.Finish(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if sessB.Token() != "s000002" {
-		t.Fatalf("minted %q, want s000002 (skip held token, take next)", sessB.Token())
-	}
-	// Finishing the new session must leave the old checkpoint resumable.
-	feed(sessB, edges)
-	if _, err := mgrB.Finish(sessB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Get("s000001"); err != nil {
-		t.Fatalf("new session's Finish destroyed the detached checkpoint: %v", err)
-	}
-	if _, rpos, err := mgrB.Resume("s000001", obs.TraceID{}, cfg); err != nil || rpos != len(edges)/2 {
-		t.Fatalf("resume after restart: pos=%d err=%v", rpos, err)
+	for tok, pos := range parked {
+		if _, rpos, err := mgrB.Resume(tok, obs.TraceID{}, cfg); err != nil || rpos != pos {
+			t.Fatalf("resume %s after restart: pos=%d err=%v, want pos %d", tok, rpos, err, pos)
+		}
 	}
 }
 
 // TestLifecycleMintSharedStore is the cluster mint-collision regression:
 // two managers (two shards) sharing one store, both with fresh counters
 // and neither's first session checkpointed, must not hand out the same
-// token. Before the store-side Reserve, both would List an empty store,
-// see no local attachment of s000001, and mint it twice.
+// token. Without the store-side Reserve, both would see no local
+// attachment of s000001 and mint it twice.
 func TestLifecycleMintSharedStore(t *testing.T) {
 	cfg := testConfig()
 	st := store.NewMemStore()

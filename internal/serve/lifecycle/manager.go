@@ -161,61 +161,37 @@ func (m *Manager) attached(token string) bool {
 	return ok
 }
 
-// mintToken assigns the next server-chosen token, skipping tokens that are
-// currently attached or already hold a checkpoint in the store — the
-// in-memory counter resets on restart, and colliding with a detached
-// checkpoint left by the previous process would let Finish delete state a
-// client still intends to resume.
-//
-// The List snapshot alone is not enough once several shards mint against
-// one shared store: two shards can List, see the same gap, and both hand
-// out the same token. When the store can Reserve (every shipped backend
-// can), the candidate is atomically claimed in the store itself before it
-// is returned — losing the race just advances to the next candidate.
-// reserved reports whether such a store-side reservation is being held;
-// the caller owns it (checkpoint over it, or Delete it on failure).
-func (m *Manager) mintToken() (tok string, reserved bool, err error) {
+// mintToken assigns the next server-chosen token and reserves it in the
+// store, skipping tokens that are attached here. Reserve loses on every
+// token that already holds a blob — a detached checkpoint left by a
+// previous process (the in-memory counter resets on restart, and handing
+// such a token out would let Finish delete state a client still intends to
+// resume) or another shard's reservation over a shared store — so walking
+// the counter with Reserve alone skips every stored token. The caller owns
+// the reservation: it checkpoints over it, or Deletes it on failure.
+func (m *Manager) mintToken() (string, error) {
 	m.mintMu.Lock()
 	defer m.mintMu.Unlock()
-	held, err := m.store.List()
-	if err != nil {
-		return "", false, fmt.Errorf("serve: minting token: %w", err)
-	}
-	taken := make(map[string]struct{}, len(held))
-	for _, t := range held {
-		taken[t] = struct{}{}
-	}
-	reserver, canReserve := m.store.(store.Reserver)
 	for {
 		m.nextID++
 		tok := fmt.Sprintf("s%06d", m.nextID)
-		if _, holds := taken[tok]; holds {
-			continue
-		}
 		if m.attached(tok) {
 			continue
 		}
-		if !canReserve {
-			return tok, false, nil
-		}
-		won, err := reserver.Reserve(tok)
+		won, err := m.store.Reserve(tok)
 		if err != nil {
-			return "", false, fmt.Errorf("serve: minting token: %w", err)
+			return "", fmt.Errorf("serve: minting token: %w", err)
 		}
-		if !won {
-			// Another shard minted (or a client checkpointed) this token
-			// after our List snapshot; keep walking the counter.
-			continue
+		if won {
+			return tok, nil
 		}
-		return tok, true, nil
 	}
 }
 
 // Open starts a fresh session for cfg. An empty token asks the manager to
 // assign one; a client-chosen token must be filename-safe and not
 // currently attached. A zero trace asks the manager to mint the session's
-// identity (v1 clients never send one); a non-zero trace — minted by the
-// client — is adopted as-is.
+// identity; a non-zero trace — minted by the client — is adopted as-is.
 //
 // The token is claimed in its stripe before the algorithm is built, so
 // concurrent opens of independent tokens proceed in parallel and a
@@ -224,22 +200,20 @@ func (m *Manager) Open(token string, trace obs.TraceID, cfg Config) (*Session, e
 	if m.draining.Load() {
 		return nil, ErrDraining
 	}
-	minted := false
-	if token == "" {
+	minted := token == ""
+	if minted {
 		for {
-			t, reserved, err := m.mintToken()
+			t, err := m.mintToken()
 			if err != nil {
 				return nil, err
 			}
 			if err := m.claim(t, nil); err == nil {
-				token, minted = t, reserved
+				token = t
 				break
 			}
 			// An explicit hello raced us to the minted token between mint
-			// and claim; drop any store-side reservation and mint the next.
-			if reserved {
-				m.store.Delete(t)
-			}
+			// and claim; drop the store-side reservation and mint the next.
+			m.store.Delete(t)
 		}
 	} else {
 		if !store.ValidToken(token) {

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
 	"net"
@@ -13,15 +11,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streamcover/internal/frame"
 	"streamcover/internal/obs"
 	"streamcover/internal/serve/ring"
 )
 
 // Router is the cluster's front door: it accepts SCWIRE1 connections,
-// reads exactly the magic and the opening hello/resume frame, places the
-// session on a shard via the consistent-hash ring keyed by its resume
-// token, and splices the connection — the shard speaks the rest of the
-// protocol with the client directly, byte for byte.
+// reads the magic and the opening hello/resume frame, places the session
+// on a shard via the consistent-hash ring keyed by its resume token,
+// replays what it read to the shard, and splices the connection — the
+// shard speaks the rest of the protocol with the client directly, byte for
+// byte.
 //
 // Placement is locality, not correctness: every shard reaches the same
 // shared checkpoint store, so when the ring's first choice is dead the
@@ -260,11 +260,12 @@ func (r *Router) markUp(shard string) {
 	r.mu.Unlock()
 }
 
-// readOpening consumes exactly the magic plus the first frame from conn —
-// no over-read, because every byte after it belongs to the shard — and
-// returns the raw frame bytes (header, payload, CRC trailer, verbatim for
-// replay) plus the session token parsed from the hello/resume.
-func readOpening(conn net.Conn) (raw []byte, token string, err error) {
+// readOpening reads the magic and the opening frame from conn through f
+// and returns the bytes the shard must receive before the splice — the
+// magic, the opening frame verbatim and whatever the read window took past
+// it, all of which belong to the shard — plus the session token parsed
+// from the hello/resume.
+func readOpening(conn net.Conn, f *frame.IO) (opening []byte, token string, err error) {
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(conn, magic[:]); err != nil {
 		return nil, "", fmt.Errorf("reading magic: %w", err)
@@ -272,56 +273,36 @@ func readOpening(conn net.Conn) (raw []byte, token string, err error) {
 	if string(magic[:]) != Magic {
 		return nil, "", fmt.Errorf("%w: bad magic %q", ErrWire, magic[:])
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	payload, err := f.Read()
+	if err != nil {
 		return nil, "", fmt.Errorf("reading opening frame: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFramePayload {
-		return nil, "", fmt.Errorf("%w: frame payload length %d", ErrWire, n)
+	if _, token, _, _, err = parseOpening(payload); err != nil {
+		return nil, "", err
 	}
-	raw = make([]byte, 4+int(n)+4)
-	copy(raw, hdr[:])
-	if _, err := io.ReadFull(conn, raw[4:]); err != nil {
-		return nil, "", fmt.Errorf("%w: truncated opening frame: %v", ErrWire, err)
-	}
-	payload, trailer := raw[4:4+n], raw[4+n:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
-		return nil, "", fmt.Errorf("%w: opening frame checksum mismatch", ErrWire)
-	}
-	switch payload[0] {
-	case frameHello, frameResume:
-		tok, _, _, _, perr := parseHello(payload[1:])
-		if perr != nil {
-			return nil, "", perr
-		}
-		return raw, tok, nil
-	default:
-		return nil, "", fmt.Errorf("%w: connection must open with hello or resume, got frame 0x%02x", ErrWire, payload[0])
-	}
+	return append([]byte(Magic), f.Replay()...), token, nil
 }
 
 // handle places one client connection and splices it to its shard.
 func (r *Router) handle(conn net.Conn) {
 	defer conn.Close()
+	f := frame.New(conn, clientReadWindow, maxFramePayload)
 	conn.SetReadDeadline(time.Now().Add(r.cfg.DialTimeout))
-	raw, token, err := readOpening(conn)
+	opening, token, err := readOpening(conn, f)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		r.logf("router: %s: %v", conn.RemoteAddr(), err)
 		if errors.Is(err, ErrWire) {
-			f := newFrameIO(conn)
-			f.writeError(codeBadFrame, err.Error())
+			writeError(f, codeBadFrame, err.Error())
 		}
 		return
 	}
 
-	backend, failedOver, err := r.dialShard(token, raw)
+	backend, failedOver, err := r.dialShard(token, opening)
 	if err != nil {
 		r.logf("router: %s: token %q: %v", conn.RemoteAddr(), token, err)
 		r.robs.Reject()
-		f := newFrameIO(conn)
-		f.writeError(codeShutdown, "router: no live shard: "+err.Error())
+		writeError(f, codeShutdown, "router: no live shard: "+err.Error())
 		return
 	}
 	defer backend.Close()
@@ -351,8 +332,8 @@ func (r *Router) handle(conn net.Conn) {
 
 // dialShard walks token's candidate shards in ring order, skipping shards
 // inside their down cooldown, and returns a connected backend with the
-// magic and opening frame already replayed to it.
-func (r *Router) dialShard(token string, raw []byte) (net.Conn, bool, error) {
+// opening bytes already replayed to it.
+func (r *Router) dialShard(token string, opening []byte) (net.Conn, bool, error) {
 	now := time.Now()
 	failedOver := false
 	var lastErr error
@@ -371,10 +352,7 @@ func (r *Router) dialShard(token string, raw []byte) (net.Conn, bool, error) {
 		}
 		r.markUp(shard)
 		backend.SetWriteDeadline(now.Add(r.cfg.DialTimeout))
-		if _, err := backend.Write([]byte(Magic)); err == nil {
-			_, err = backend.Write(raw)
-		}
-		if err != nil {
+		if _, err := backend.Write(opening); err != nil {
 			backend.Close()
 			r.markDown(shard)
 			failedOver = true

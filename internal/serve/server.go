@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"streamcover/internal/frame"
 	"streamcover/internal/obs"
 	"streamcover/internal/serve/lifecycle"
 	"streamcover/internal/serve/store"
@@ -188,7 +189,7 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // readDeadline arms the idle timeout before the opening magic read; inside
-// the frame loop the frameIO's armRead hook re-arms it coarsely.
+// the frame loop the frame.IO's ArmRead hook re-arms it coarsely.
 func (s *Server) readDeadline(conn net.Conn) {
 	if s.cfg.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -201,14 +202,14 @@ func (s *Server) readDeadline(conn net.Conn) {
 // stops paying a timer update per frame; the worst case stretches an idle
 // detach by a quarter of the configured timeout. The write deadline is
 // armed per flush, which is already coalesced.
-func (s *Server) armHooks(f *frameIO, conn net.Conn) {
+func (s *Server) armHooks(f *frame.IO, conn net.Conn) {
 	if s.cfg.IdleTimeout > 0 {
 		armEvery := s.cfg.IdleTimeout / 4
 		if armEvery > time.Second {
 			armEvery = time.Second
 		}
 		var lastArm time.Time
-		f.armRead = func() {
+		f.ArmRead = func() {
 			if now := time.Now(); now.Sub(lastArm) >= armEvery {
 				lastArm = now
 				conn.SetReadDeadline(now.Add(s.cfg.IdleTimeout))
@@ -216,7 +217,7 @@ func (s *Server) armHooks(f *frameIO, conn net.Conn) {
 		}
 	}
 	if s.cfg.WriteTimeout > 0 {
-		f.armWrite = func() {
+		f.ArmWrite = func() {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		}
 	}
@@ -251,22 +252,25 @@ func (s *Server) handle(conn net.Conn) {
 		s.logf("serve: %s: reading magic: %v", conn.RemoteAddr(), err)
 		return
 	}
-	// The frameIO is pooled across connections (read window and sealed
+	// The frame.IO is pooled across connections (read window and sealed
 	// write buffers survive) and coalesces: replies queue until the next
 	// frame read flushes them — or this deferred flush does, on every
 	// return path before the connection closes.
-	f := getFrameIO(conn)
-	defer putFrameIO(f)
+	f := serverFrames.Get(conn)
+	defer func() {
+		f.Flush()
+		serverFrames.Put(f)
+	}()
 	s.armHooks(f, conn)
 	if string(magic[:]) != Magic {
-		f.writeError(codeBadFrame, fmt.Sprintf("bad magic %q", magic[:]))
+		writeError(f, codeBadFrame, fmt.Sprintf("bad magic %q", magic[:]))
 		return
 	}
 
 	// The first frame must open a session: hello (fresh) or resume. The
 	// session's Config is kept here — the shape validates every edge frame
 	// the transport decodes.
-	payload, err := f.readFrame()
+	payload, err := f.Read()
 	if err != nil {
 		s.logf("serve: %s: reading opening frame: %v", conn.RemoteAddr(), err)
 		return
@@ -274,40 +278,20 @@ func (s *Server) handle(conn net.Conn) {
 	helloT0 := time.Now()
 	var sess *Session
 	var pos int
-	var cfg Config
-	ver := protoV1 // negotiated handshake version for this connection
-	switch payload[0] {
-	case frameHello:
-		token, trace, v, c, perr := parseHello(payload[1:])
-		if perr == nil {
-			ver, cfg = v, c
-			sess, err = s.mgr.Open(token, trace, cfg)
-		} else {
-			err = perr
-		}
-	case frameResume:
-		token, trace, v, c, perr := parseHello(payload[1:])
-		if perr == nil {
-			ver, cfg = v, c
+	resume, token, trace, cfg, err := parseOpening(payload)
+	if err == nil {
+		if resume {
 			sess, pos, err = s.mgr.Resume(token, trace, cfg)
 		} else {
-			err = perr
+			sess, err = s.mgr.Open(token, trace, cfg)
 		}
-	default:
-		err = fmt.Errorf("%w: connection must open with hello or resume, got frame 0x%02x", ErrWire, payload[0])
 	}
 	if err != nil {
 		s.logf("serve: %s: open: %v", conn.RemoteAddr(), err)
-		f.writeError(errCode(err), err.Error())
+		writeError(f, errCode(err), err.Error())
 		return
 	}
-	// Only v2 clients get the trace echoed: a v1 cursor rejects the extra
-	// ack bytes.
-	ackTrace := sess.Trace()
-	if ver < protoV2 {
-		ackTrace = obs.TraceID{}
-	}
-	if err := f.writeHelloAck(sess.Token(), pos, ackTrace); err != nil {
+	if err := writeHelloAck(f, sess.Token(), pos, sess.Trace()); err != nil {
 		s.logf("serve: %s: hello ack: %v", conn.RemoteAddr(), err)
 		s.detach(sess, "hello-ack-write: "+err.Error())
 		return
@@ -315,7 +299,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.cfg.Obs.HelloLatency(time.Since(helloT0).Nanoseconds())
 
 	for {
-		payload, err := f.readFrame()
+		payload, err := f.Read()
 		if err != nil {
 			// Disconnect, idle timeout or shutdown: checkpoint and park.
 			s.logf("serve: session %s: connection lost (%v), detaching with checkpoint", sess.Token(), err)
@@ -332,7 +316,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err != nil {
 				sess.Release()
 				s.logf("serve: session %s: %v", sess.Token(), err)
-				f.writeError(errCode(err), err.Error())
+				writeError(f, errCode(err), err.Error())
 				s.detach(sess, "bad-edges: "+err.Error())
 				return
 			}
@@ -344,7 +328,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.fail(f, sess, err)
 				return
 			}
-			if err := f.writePosAck(p); err != nil {
+			if err := writePosAck(f, p); err != nil {
 				s.detach(sess, "pos-ack-write: "+err.Error())
 				return
 			}
@@ -354,10 +338,10 @@ func (s *Server) handle(conn net.Conn) {
 			p, err := s.mgr.Detach(sess, "detach-frame")
 			if err != nil {
 				s.logf("serve: session %s: detach: %v", sess.Token(), err)
-				f.writeError(errCode(err), err.Error())
+				writeError(f, errCode(err), err.Error())
 				return
 			}
-			if f.writePosAck(p) == nil {
+			if writePosAck(f, p) == nil {
 				s.cfg.Obs.AckLatency(time.Since(t0).Nanoseconds())
 			}
 			return
@@ -366,10 +350,10 @@ func (s *Server) handle(conn net.Conn) {
 			res, err := s.mgr.Finish(sess)
 			if err != nil {
 				s.logf("serve: session %s: finish: %v", sess.Token(), err)
-				f.writeError(errCode(err), err.Error())
+				writeError(f, errCode(err), err.Error())
 				return
 			}
-			if err := f.writeResult(res); err != nil {
+			if err := writeResult(f, res); err != nil {
 				s.logf("serve: session %s: result write: %v", sess.Token(), err)
 			} else {
 				s.cfg.Obs.ResultLatency(time.Since(t0).Nanoseconds())
@@ -384,9 +368,9 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // fail reports err to the client and detaches the session.
-func (s *Server) fail(f *frameIO, sess *Session, err error) {
+func (s *Server) fail(f *frame.IO, sess *Session, err error) {
 	s.logf("serve: session %s: %v", sess.Token(), err)
-	f.writeError(errCode(err), err.Error())
+	writeError(f, errCode(err), err.Error())
 	s.detach(sess, "protocol-error: "+err.Error())
 }
 

@@ -1,24 +1,23 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"streamcover/internal/frame"
 )
 
-// SCSTOR1 is the cluster checkpoint-store protocol: the same length-
-// prefixed CRC-32-guarded framing discipline as SCWIRE1, carrying the four
-// CheckpointStore verbs (plus Reserve) over TCP so every shard in a
-// cluster reaches one shared store. A connection opens with the magic,
-// then strictly alternates request and reply frames:
+// SCSTOR1 is the cluster checkpoint-store protocol: the CheckpointStore
+// verbs over TCP in the shared length-prefixed CRC-32-guarded framing
+// (internal/frame), so every shard in a cluster reaches one shared store.
+// A connection opens with the magic, then strictly alternates request and
+// reply frames:
 //
-//	frame   := u32le(len(payload)) payload u32le(crc32(payload))
-//	request := op token-fields...
+//	request := op uvarint(len(token)) token blob...
 //	reply   := repOK body... | repErr code uvarint(len) msg
 //
 // The blob bytes inside put/get frames are the SCCKPT1 envelope verbatim —
@@ -29,12 +28,11 @@ import (
 // StoreMagic opens every SCSTOR1 connection.
 const StoreMagic = "SCSTOR1\n"
 
-// SCSTOR1 request ops and reply types.
+// SCSTOR1 request ops and reply types. Op 0x04 (list) is retired.
 const (
 	opPut     = 0x01 // token, blob -> repOK uvarint(bytes written)
 	opGet     = 0x02 // token -> repOK blob
 	opDelete  = 0x03 // token -> repOK
-	opList    = 0x04 // -> repOK uvarint(count) tokens...
 	opReserve = 0x05 // token -> repOK bool byte (1 = reserved)
 
 	repOK  = 0x81
@@ -43,9 +41,10 @@ const (
 
 // SCSTOR1 error codes, so typed errors survive the wire.
 const (
-	storeErrGeneric  = 1
+	storeErrGeneric  = 1 // a backing-store failure
 	storeErrNotFound = 2 // maps back to ErrNotFound
-	storeErrToken    = 3 // invalid token
+	storeErrToken    = 3 // invalid token; maps back to errInvalidToken
+	storeErrWire     = 4 // undecodable request; maps back to ErrStoreWire
 )
 
 // maxStoreFrame bounds one SCSTOR1 frame payload. Checkpoints of
@@ -53,110 +52,14 @@ const (
 // universes while keeping a corrupt length prefix harmless.
 const maxStoreFrame = 64 << 20
 
+// storeWindow is the initial read window of an SCSTOR1 connection: one
+// laptop-scale checkpoint frame fits without growing it.
+const storeWindow = 64 << 10
+
 // ErrStoreWire reports malformed SCSTOR1 traffic: bad magic, bad CRC,
-// truncated or oversized frames, unknown ops.
-var ErrStoreWire = errors.New("store: cluster wire protocol error")
-
-// readStoreFrame reads one SCSTOR1 frame payload from r into (a possibly
-// grown) buf, returning the payload slice.
-func readStoreFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, buf, err // clean boundary: caller classifies EOF
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxStoreFrame {
-		return nil, buf, fmt.Errorf("%w: frame payload length %d", ErrStoreWire, n)
-	}
-	need := int(n) + 4
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	body := buf[:need]
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, buf, fmt.Errorf("%w: truncated frame: %v", ErrStoreWire, err)
-	}
-	payload, trailer := body[:n], body[n:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
-		return nil, buf, fmt.Errorf("%w: frame checksum mismatch", ErrStoreWire)
-	}
-	return payload, buf, nil
-}
-
-// writeStoreFrame seals payload into a frame and writes it with one Write.
-func writeStoreFrame(w io.Writer, scratch, payload []byte) ([]byte, error) {
-	need := 4 + len(payload) + 4
-	if cap(scratch) < need {
-		scratch = make([]byte, 0, need)
-	}
-	b := scratch[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	_, err := w.Write(b)
-	return b, err
-}
-
-// appendToken appends a length-prefixed token.
-func appendToken(b []byte, token string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(token)))
-	return append(b, token...)
-}
-
-// storeCursor decodes one SCSTOR1 payload, latching the first error.
-type storeCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *storeCursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *storeCursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.fail("%w: truncated varint", ErrStoreWire)
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *storeCursor) str() string {
-	n := c.u64()
-	if c.err != nil {
-		return ""
-	}
-	if n > uint64(len(c.b)) {
-		c.fail("%w: string length %d exceeds frame", ErrStoreWire, n)
-		return ""
-	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s
-}
-
-func (c *storeCursor) rest() []byte {
-	b := c.b
-	c.b = nil
-	return b
-}
-
-func (c *storeCursor) done() error {
-	if c.err == nil && len(c.b) != 0 {
-		c.fail("%w: %d trailing bytes in frame", ErrStoreWire, len(c.b))
-	}
-	return c.err
-}
+// truncated or oversized frames, unknown ops. It is the shared
+// frame.ErrWire, the sentinel SCWIRE1's serve.ErrWire names too.
+var ErrStoreWire = frame.ErrWire
 
 // StoreServer exposes a backing CheckpointStore over SCSTOR1 so every
 // shard in a cluster shares it. The server is pure plumbing: requests
@@ -269,129 +172,77 @@ func (s *StoreServer) handle(conn net.Conn) {
 	if _, err := io.ReadFull(conn, magic[:]); err != nil || string(magic[:]) != StoreMagic {
 		return
 	}
-	var rbuf, wbuf, reply []byte
+	f := frame.New(conn, storeWindow, maxStoreFrame)
 	for {
-		payload, buf, err := readStoreFrame(conn, rbuf)
-		rbuf = buf
+		req, err := f.Read()
 		if err != nil {
 			return // disconnect or corruption: the client redials
 		}
-		reply = s.apply(reply[:0], payload)
-		wbuf, err = writeStoreFrame(conn, wbuf, reply)
-		if err != nil {
+		if f.End(s.apply(f.Begin(), req)) != nil {
 			return
 		}
 	}
 }
 
 // apply executes one request payload against the backing store, appending
-// the reply payload to out.
+// the reply payload to out. A request that does not decode is answered
+// with the decoder's error.
 func (s *StoreServer) apply(out, req []byte) []byte {
-	if len(req) == 0 {
-		return appendStoreErr(out, storeErrGeneric, "empty request")
+	c := frame.NewCursor(req)
+	op := c.Byte()
+	token := c.Str()
+	var blob []byte
+	if op == opPut {
+		blob = c.Rest()
 	}
-	c := storeCursor{b: req[1:]}
-	switch req[0] {
+	if err := c.Done(); err != nil {
+		return appendStoreErr(out, err)
+	}
+	switch op {
 	case opPut:
-		token := c.str()
-		blob := c.rest()
-		if c.err != nil {
-			return appendStoreErr(out, storeErrGeneric, c.err.Error())
-		}
 		n, err := s.backing.Put(token, blob)
 		if err != nil {
-			return appendStoreErrFrom(out, err)
+			return appendStoreErr(out, err)
 		}
-		out = append(out, repOK)
-		return binary.AppendUvarint(out, uint64(n))
+		return frame.AppendUvarint(append(out, repOK), uint64(n))
 	case opGet:
-		token := c.str()
-		if err := c.done(); err != nil {
-			return appendStoreErr(out, storeErrGeneric, err.Error())
-		}
 		blob, err := s.backing.Get(token)
 		if err != nil {
-			return appendStoreErrFrom(out, err)
+			return appendStoreErr(out, err)
 		}
-		out = append(out, repOK)
-		return append(out, blob...)
+		return append(append(out, repOK), blob...)
 	case opDelete:
-		token := c.str()
-		if err := c.done(); err != nil {
-			return appendStoreErr(out, storeErrGeneric, err.Error())
-		}
 		if err := s.backing.Delete(token); err != nil {
-			return appendStoreErrFrom(out, err)
+			return appendStoreErr(out, err)
 		}
 		return append(out, repOK)
-	case opList:
-		if err := c.done(); err != nil {
-			return appendStoreErr(out, storeErrGeneric, err.Error())
-		}
-		tokens, err := s.backing.List()
-		if err != nil {
-			return appendStoreErrFrom(out, err)
-		}
-		out = append(out, repOK)
-		out = binary.AppendUvarint(out, uint64(len(tokens)))
-		for _, t := range tokens {
-			out = appendToken(out, t)
-		}
-		return out
 	case opReserve:
-		token := c.str()
-		if err := c.done(); err != nil {
-			return appendStoreErr(out, storeErrGeneric, err.Error())
-		}
-		ok, err := reserveOn(s.backing, token)
+		won, err := s.backing.Reserve(token)
 		if err != nil {
-			return appendStoreErrFrom(out, err)
+			return appendStoreErr(out, err)
 		}
-		out = append(out, repOK)
-		if ok {
-			return append(out, 1)
+		if won {
+			return append(out, repOK, 1)
 		}
-		return append(out, 0)
+		return append(out, repOK, 0)
 	default:
-		return appendStoreErr(out, storeErrGeneric, fmt.Sprintf("unknown op 0x%02x", req[0]))
+		return appendStoreErr(out, fmt.Errorf("%w: unknown op 0x%02x", ErrStoreWire, op))
 	}
 }
 
-// reserveOn reserves token on st, preferring its native atomic Reserve.
-// A backing without one falls back to Get-then-Put — adequate only
-// because the server is then the single writer of that backing.
-func reserveOn(st CheckpointStore, token string) (bool, error) {
-	if r, ok := st.(Reserver); ok {
-		return r.Reserve(token)
-	}
-	if _, err := st.Get(token); err == nil {
-		return false, nil
-	} else if !errors.Is(err, ErrNotFound) {
-		return false, err
-	}
-	if _, err := st.Put(token, MintMarker()); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// appendStoreErr appends a repErr payload.
-func appendStoreErr(out []byte, code byte, msg string) []byte {
-	out = append(out, repErr, code)
-	return appendToken(out, msg)
-}
-
-// appendStoreErrFrom classifies a backing-store error into a wire code so
-// the typed errors the lifecycle layer matches on survive the hop.
-func appendStoreErrFrom(out []byte, err error) []byte {
+// appendStoreErr appends a repErr payload, classifying err into a wire
+// code so the typed errors the lifecycle layer matches on survive the hop.
+func appendStoreErr(out []byte, err error) []byte {
 	code := byte(storeErrGeneric)
 	switch {
 	case errors.Is(err, ErrNotFound):
 		code = storeErrNotFound
 	case errors.Is(err, errInvalidToken):
 		code = storeErrToken
+	case errors.Is(err, ErrStoreWire):
+		code = storeErrWire
 	}
-	return appendStoreErr(out, code, err.Error())
+	return frame.AppendString(append(out, repErr, code), err.Error())
 }
 
 // ClusterStore is the CheckpointStore every shard in a cluster shares: a
@@ -413,12 +264,10 @@ type ClusterStore struct {
 	idle []*storeConn
 }
 
-// storeConn is one pooled SCSTOR1 connection with its reusable buffers.
+// storeConn is one pooled SCSTOR1 connection with its frame buffers.
 type storeConn struct {
 	conn net.Conn
-	rbuf []byte
-	wbuf []byte
-	req  []byte
+	f    *frame.IO
 }
 
 // DefaultStoreTimeout bounds each SCSTOR1 round trip when the caller does
@@ -446,7 +295,8 @@ func (s *ClusterStore) String() string { return "cluster" }
 // Addr reports the store server address this client targets.
 func (s *ClusterStore) Addr() string { return s.addr }
 
-// get returns an idle pooled connection or dials a fresh one.
+// get returns an idle pooled connection or dials a fresh one, with the
+// magic queued ahead of its first request.
 func (s *ClusterStore) get() (*storeConn, error) {
 	s.mu.Lock()
 	if n := len(s.idle); n > 0 {
@@ -461,14 +311,9 @@ func (s *ClusterStore) get() (*storeConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: cluster dial %s: %w", s.addr, err)
 	}
-	sc := &storeConn{conn: conn}
-	if err := conn.SetWriteDeadline(time.Now().Add(s.timeout)); err == nil {
-		if _, err := conn.Write([]byte(StoreMagic)); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("store: cluster handshake: %w", err)
-		}
-	}
-	return sc, nil
+	c := &storeConn{conn: conn, f: frame.New(conn, storeWindow, maxStoreFrame)}
+	c.f.QueueRaw([]byte(StoreMagic))
+	return c, nil
 }
 
 // put returns a connection to the idle pool after a clean round trip.
@@ -495,20 +340,27 @@ func (s *ClusterStore) Close() error {
 	return nil
 }
 
-// roundTrip sends one request payload and decodes the reply, retrying
-// once on a fresh connection if a pooled one turned out dead (the server
+// roundTrip sends one request (op, token, then blob for a put) and returns
+// its reply's OK body or the typed error the reply carries, retrying once
+// on a fresh connection if a pooled one turned out dead (the server
 // restarted, or an idle timeout severed it).
-func (s *ClusterStore) roundTrip(build func(req []byte) []byte) ([]byte, error) {
+func (s *ClusterStore) roundTrip(op byte, token string, blob []byte) ([]byte, error) {
+	if err := checkToken(token); err != nil {
+		return nil, err
+	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		c, err := s.get()
 		if err != nil {
 			return nil, err
 		}
-		reply, err := s.exchange(c, build)
+		reply, err := s.exchange(c, op, token, blob)
 		if err == nil {
+			// The reply aliases c's read window, which the next call reuses
+			// as soon as c is back in the pool: decode a copy.
+			body, err := decodeReply(append([]byte(nil), reply...))
 			s.put(c)
-			return reply, nil
+			return body, err
 		}
 		c.conn.Close()
 		lastErr = err
@@ -521,176 +373,81 @@ func (s *ClusterStore) roundTrip(build func(req []byte) []byte) ([]byte, error) 
 	return nil, fmt.Errorf("store: cluster %s: %w", s.addr, lastErr)
 }
 
-// exchange performs one framed request/reply on c.
-func (s *ClusterStore) exchange(c *storeConn, build func(req []byte) []byte) ([]byte, error) {
-	c.req = build(c.req[:0])
-	deadline := time.Now().Add(s.timeout)
-	if err := c.conn.SetDeadline(deadline); err != nil {
+// exchange performs one framed request/reply on c. The reply aliases c's
+// read window.
+func (s *ClusterStore) exchange(c *storeConn, op byte, token string, blob []byte) ([]byte, error) {
+	if err := c.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		return nil, err
 	}
-	var err error
-	c.wbuf, err = writeStoreFrame(c.conn, c.wbuf, c.req)
-	if err != nil {
+	b := frame.AppendString(append(c.f.Begin(), op), token)
+	if err := c.f.End(append(b, blob...)); err != nil {
 		return nil, err
 	}
-	payload, rbuf, err := readStoreFrame(c.conn, c.rbuf)
-	c.rbuf = rbuf
-	if err != nil {
-		return nil, err
-	}
-	// The payload aliases the pooled read buffer; callers copy what they
-	// keep (Get copies the blob, List copies the strings).
-	return payload, nil
+	return c.f.Read()
 }
 
 // decodeReply splits a reply payload into its OK body or a typed error.
 func decodeReply(payload []byte) ([]byte, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty reply", ErrStoreWire)
-	}
-	switch payload[0] {
+	c := frame.NewCursor(payload)
+	switch typ := c.Byte(); typ {
 	case repOK:
-		return payload[1:], nil
+		return c.Rest(), nil
 	case repErr:
-		c := storeCursor{b: payload[1:]}
-		if len(c.b) < 1 {
-			return nil, fmt.Errorf("%w: truncated error reply", ErrStoreWire)
-		}
-		code := c.b[0]
-		c.b = c.b[1:]
-		msg := c.str()
-		if err := c.done(); err != nil {
+		code := c.Byte()
+		msg := c.Str()
+		if err := c.Done(); err != nil {
 			return nil, err
 		}
 		switch code {
+		case storeErrGeneric:
+			return nil, fmt.Errorf("store: cluster: %s", msg)
 		case storeErrNotFound:
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, msg)
 		case storeErrToken:
-			return nil, fmt.Errorf("store: %s", msg)
+			return nil, fmt.Errorf("%w: %s", errInvalidToken, msg)
+		case storeErrWire:
+			return nil, fmt.Errorf("%w: server rejected request: %s", ErrStoreWire, msg)
 		default:
-			return nil, fmt.Errorf("store: cluster: %s", msg)
+			return nil, fmt.Errorf("%w: unknown error code %d", ErrStoreWire, code)
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown reply 0x%02x", ErrStoreWire, payload[0])
+		return nil, fmt.Errorf("%w: unknown reply 0x%02x", ErrStoreWire, typ)
 	}
 }
 
 // Put stores data under token on the shared store and returns the bytes
 // written there.
 func (s *ClusterStore) Put(token string, data []byte) (int, error) {
-	if err := checkToken(token); err != nil {
-		return 0, err
-	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
-		req = append(req, opPut)
-		req = appendToken(req, token)
-		return append(req, data...)
-	})
+	body, err := s.roundTrip(opPut, token, data)
 	if err != nil {
 		return 0, err
 	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return 0, err
-	}
-	n, w := binary.Uvarint(body)
-	if w <= 0 || w != len(body) {
-		return 0, fmt.Errorf("%w: malformed put reply", ErrStoreWire)
-	}
-	return int(n), nil
+	c := frame.NewCursor(body)
+	n := c.U64()
+	return int(n), c.Done()
 }
 
 // Get returns a copy of token's checkpoint from the shared store, or
 // ErrNotFound.
 func (s *ClusterStore) Get(token string) ([]byte, error) {
-	if err := checkToken(token); err != nil {
-		return nil, err
-	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
-		req = append(req, opGet)
-		return appendToken(req, token)
-	})
-	if err != nil {
-		return nil, err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(body))
-	copy(out, body)
-	return out, nil
+	return s.roundTrip(opGet, token, nil)
 }
 
 // Delete removes token's checkpoint from the shared store, or returns
 // ErrNotFound.
 func (s *ClusterStore) Delete(token string) error {
-	if err := checkToken(token); err != nil {
-		return err
+	body, err := s.roundTrip(opDelete, token, nil)
+	if err == nil && len(body) != 0 {
+		err = fmt.Errorf("%w: malformed delete reply", ErrStoreWire)
 	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
-		req = append(req, opDelete)
-		return appendToken(req, token)
-	})
-	if err != nil {
-		return err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return err
-	}
-	if len(body) != 0 {
-		return fmt.Errorf("%w: malformed delete reply", ErrStoreWire)
-	}
-	return nil
-}
-
-// List returns every token holding a checkpoint on the shared store,
-// sorted (the server lists its backing store, which sorts).
-func (s *ClusterStore) List() ([]string, error) {
-	reply, err := s.roundTrip(func(req []byte) []byte {
-		return append(req, opList)
-	})
-	if err != nil {
-		return nil, err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return nil, err
-	}
-	c := storeCursor{b: body}
-	n := c.u64()
-	if c.err != nil {
-		return nil, c.err
-	}
-	if n > uint64(len(c.b)) { // every token takes >= 1 byte
-		return nil, fmt.Errorf("%w: %d tokens exceed frame", ErrStoreWire, n)
-	}
-	tokens := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		tokens = append(tokens, c.str())
-	}
-	if err := c.done(); err != nil {
-		return nil, err
-	}
-	return tokens, nil
+	return err
 }
 
 // Reserve atomically claims token on the shared store if no checkpoint
 // exists there — the cluster-wide mint guard. Atomicity holds because the
-// server applies it on the backing store's native Reserve.
+// server applies it on the backing store's own Reserve.
 func (s *ClusterStore) Reserve(token string) (bool, error) {
-	if err := checkToken(token); err != nil {
-		return false, err
-	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
-		req = append(req, opReserve)
-		return appendToken(req, token)
-	})
-	if err != nil {
-		return false, err
-	}
-	body, err := decodeReply(reply)
+	body, err := s.roundTrip(opReserve, token, nil)
 	if err != nil {
 		return false, err
 	}

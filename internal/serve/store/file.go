@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"streamcover/internal/stream"
 )
 
 // ckptExt is the on-disk suffix of one checkpoint, kept byte-compatible
@@ -52,7 +54,7 @@ func (s *FileStore) Put(token string, data []byte) (int, error) {
 	if err := checkToken(token); err != nil {
 		return 0, err
 	}
-	if err := atomicWriteFile(s.path(token), data); err != nil {
+	if err := stream.AtomicWriteFile(s.path(token), data); err != nil {
 		return 0, fmt.Errorf("store: put %q: %w", token, err)
 	}
 	return len(data), nil
@@ -91,10 +93,15 @@ func (s *FileStore) Delete(token string) error {
 // marker is staged in a temp file and hard-linked into place — link(2)
 // fails with EEXIST when the target exists, which makes the existence
 // check and the claim a single atomic filesystem operation even across
-// processes sharing the directory.
+// processes sharing the directory. A token whose file already exists loses
+// on one Lstat, before paying for a staged and fsynced temp file; link
+// still decides races.
 func (s *FileStore) Reserve(token string) (bool, error) {
 	if err := checkToken(token); err != nil {
 		return false, err
+	}
+	if _, err := os.Lstat(s.path(token)); err == nil {
+		return false, nil
 	}
 	f, err := os.CreateTemp(s.dir, token+".mint*")
 	if err != nil {
@@ -122,7 +129,8 @@ func (s *FileStore) Reserve(token string) (bool, error) {
 	return true, nil
 }
 
-// List returns the tokens holding checkpoints, sorted. Stray files —
+// List returns the tokens holding checkpoints, sorted (operator tooling and
+// benchmarks; minting never lists). Stray files —
 // in-flight temp files, anything not shaped like `<token>.ckpt` — are
 // ignored rather than surfaced, so an interrupted Put can never make the
 // store unlistable.
@@ -144,36 +152,4 @@ func (s *FileStore) List() ([]string, error) {
 	}
 	sort.Strings(tokens)
 	return tokens, nil
-}
-
-// atomicWriteFile writes data to path via a temp file in the same
-// directory plus rename, the same discipline as the stream layer's
-// checkpoint file writer: readers never observe a partially written file
-// and a crash mid-write leaves any previous file intact.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

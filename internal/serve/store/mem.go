@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -88,16 +87,4 @@ func (s *MemStore) Reserve(token string) (bool, error) {
 	}
 	s.blobs[token] = MintMarker()
 	return true, nil
-}
-
-// List returns the tokens holding checkpoints, sorted.
-func (s *MemStore) List() ([]string, error) {
-	s.mu.RLock()
-	tokens := make([]string, 0, len(s.blobs))
-	for token := range s.blobs {
-		tokens = append(tokens, token)
-	}
-	s.mu.RUnlock()
-	sort.Strings(tokens)
-	return tokens, nil
 }

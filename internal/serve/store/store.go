@@ -43,7 +43,14 @@ var errInvalidToken = errors.New("invalid session token")
 //     the store, and a later Put must not mutate it.
 //   - Delete removes the token's checkpoint, or returns an error wrapping
 //     ErrNotFound if there is none.
-//   - List returns every token currently holding a checkpoint, sorted.
+//   - Reserve atomically claims token if and only if nothing is stored
+//     under it, returning whether this caller won, by storing the mint
+//     marker there. Server-minted tokens come from Reserve alone: several
+//     shards minting against one shared store race through it and exactly
+//     one wins, and a restarted server walking its counter from zero loses
+//     on every token that still holds a checkpoint. The reservation is a
+//     real stored blob; it occupies the token for Get and later Reserves
+//     until the session checkpoints over it or Finishes (which Deletes it).
 //
 // Tokens are validated by ValidToken; implementations must reject anything
 // else so a hostile token can never escape a directory or collide with
@@ -53,7 +60,7 @@ type CheckpointStore interface {
 	Put(token string, data []byte) (int, error)
 	Get(token string) ([]byte, error)
 	Delete(token string) error
-	List() ([]string, error)
+	Reserve(token string) (bool, error)
 }
 
 // ValidToken accepts filename-safe session tokens only ([A-Za-z0-9._-],
@@ -77,21 +84,6 @@ func ValidToken(t string) bool {
 	return true
 }
 
-// Reserver is the optional store capability the cluster's mint path
-// requires: Reserve atomically claims token if and only if the store holds
-// nothing under it, returning whether this caller won. Two shards minting
-// against a shared store race through Reserve — exactly one wins, so the
-// same token can never be handed to two different sessions. The winner's
-// reservation is a real stored blob (the mint marker): it occupies the
-// token in List, Get and later Reserves until the session either
-// checkpoints over it or Finishes (which Deletes it).
-//
-// All stores in this package implement Reserver. The lifecycle manager
-// falls back to its local bookkeeping for a store that does not.
-type Reserver interface {
-	Reserve(token string) (bool, error)
-}
-
 // mintMarker is the blob a Reserve stores to occupy a freshly minted
 // token before its first checkpoint. It is deliberately not a valid
 // SCCKPT1 envelope: a Resume that Gets it knows the session never
@@ -110,7 +102,7 @@ func IsMintMarker(blob []byte) bool {
 	return len(blob) == len(mintMarker) && string(blob) == string(mintMarker)
 }
 
-// checkToken is the shared Put/Get/Delete guard.
+// checkToken is the shared Put/Get/Delete/Reserve guard.
 func checkToken(token string) error {
 	if !ValidToken(token) {
 		return fmt.Errorf("store: %w %q", errInvalidToken, token)

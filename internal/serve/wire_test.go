@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
+	"streamcover/internal/frame"
 	"streamcover/internal/obs"
 	"streamcover/internal/serve/store"
 	"streamcover/internal/setcover"
@@ -12,16 +14,21 @@ import (
 	"streamcover/internal/stream"
 )
 
-// roundTrip writes one frame through a frameIO and reads it back, checking
+// newFrameIO returns a non-coalescing SCWIRE1 frame.IO over rw.
+func newFrameIO(rw io.ReadWriter) *frame.IO {
+	return frame.New(rw, clientReadWindow, maxFramePayload)
+}
+
+// roundTrip writes one frame through a frame.IO and reads it back, checking
 // the declared type.
-func roundTrip(t *testing.T, write func(f *frameIO) error, wantType byte) []byte {
+func roundTrip(t *testing.T, write func(f *frame.IO) error, wantType byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	f := newFrameIO(&buf)
 	if err := write(f); err != nil {
 		t.Fatalf("write frame: %v", err)
 	}
-	payload, err := f.readFrame()
+	payload, err := f.Read()
 	if err != nil {
 		t.Fatalf("read frame back: %v", err)
 	}
@@ -34,110 +41,62 @@ func roundTrip(t *testing.T, write func(f *frameIO) error, wantType byte) []byte
 func TestWireHelloRoundTrip(t *testing.T) {
 	want := Config{Algo: "alg2", N: 300, M: 4000, StreamLen: 60150, Seed: 42, Copies: 8, Alpha: 37.5}
 	wantTrace := obs.NewTraceID()
-	body := roundTrip(t, func(f *frameIO) error {
-		return f.writeHello(frameHello, protoV2, "sess-1", wantTrace, want)
+	body := roundTrip(t, func(f *frame.IO) error {
+		return writeHello(f, frameHello, "sess-1", wantTrace, want)
 	}, frameHello)
-	token, trace, ver, got, err := parseHello(body)
+	token, trace, got, err := parseHello(body)
 	if err != nil {
 		t.Fatalf("parseHello: %v", err)
 	}
-	if token != "sess-1" || got != want || trace != wantTrace || ver != protoV2 {
-		t.Fatalf("got token %q ver %d trace %v cfg %+v, want %q %d %v %+v",
-			token, ver, trace, got, "sess-1", protoV2, wantTrace, want)
+	if token != "sess-1" || got != want || trace != wantTrace {
+		t.Fatalf("got token %q trace %v cfg %+v, want %q %v %+v", token, trace, got, "sess-1", wantTrace, want)
+	}
+
+	ack := roundTrip(t, func(f *frame.IO) error { return writeHelloAck(f, "tok", 500, wantTrace) }, frameHelloAck)
+	if token, pos, trace, err := parseHelloAck(ack, ""); err != nil || token != "tok" || pos != 500 || trace != wantTrace {
+		t.Fatalf("ack parsed as %q/%d/%v (%v), want tok/500/%v", token, pos, trace, err, wantTrace)
+	}
+
+	// Only the v2 handshake parses: a v1 hello (no trace field), an unknown
+	// version and a hello truncated inside its trace field fail typed, and
+	// so does an ack without its trace.
+	for name, write := range map[string]func(f *frame.IO) error{
+		"v1-hello": func(f *frame.IO) error { return writeV1Hello(f, "old", want) },
+		"v3-hello": func(f *frame.IO) error {
+			return f.End(frame.AppendString(frame.AppendUvarint(append(f.Begin(), frameHello), protoV2+1), "x"))
+		},
+		"truncated-trace": func(f *frame.IO) error {
+			b := frame.AppendString(frame.AppendUvarint(append(f.Begin(), frameHello), protoV2), "x")
+			return f.End(append(b, 0xAB, 0xCD)) // 2 of the 16 trace bytes
+		},
+	} {
+		if _, _, _, err := parseHello(roundTrip(t, write, frameHello)); !errors.Is(err, ErrWire) {
+			t.Fatalf("%s accepted: %v", name, err)
+		}
+	}
+	short := roundTrip(t, func(f *frame.IO) error {
+		return f.End(frame.AppendUvarint(frame.AppendString(append(f.Begin(), frameHelloAck), "tok"), 500))
+	}, frameHelloAck)
+	if _, _, _, err := parseHelloAck(short, ""); !errors.Is(err, ErrWire) {
+		t.Fatalf("ack without a trace accepted: %v", err)
 	}
 }
 
-// TestWireHelloVersionNegotiation pins both compatibility directions of the
-// v2 handshake: an old client's v1 hello (no trace field) parses on a new
-// server, and frames claiming unknown versions are rejected.
-func TestWireHelloVersionNegotiation(t *testing.T) {
-	want := Config{Algo: "kk", N: 30, M: 40, StreamLen: 100, Seed: 9}
-
-	// Old client: version 1, no trace bytes — exactly what pre-trace
-	// binaries put on the wire.
-	body := roundTrip(t, func(f *frameIO) error {
-		return f.writeHello(frameHello, protoV1, "old-sess", obs.NewTraceID(), want)
-	}, frameHello)
-	token, trace, ver, got, err := parseHello(body)
-	if err != nil {
-		t.Fatalf("v1 hello rejected by new server: %v", err)
+// writeV1Hello sends a hello in the retired version-1 handshake, exactly as
+// pre-trace clients did: no trace field after the token.
+func writeV1Hello(f *frame.IO, token string, cfg Config) error {
+	b := frame.AppendUvarint(append(f.Begin(), frameHello), 1)
+	b = frame.AppendString(b, token)
+	b = frame.AppendString(b, cfg.Algo)
+	for _, v := range []uint64{uint64(cfg.N), uint64(cfg.M), uint64(cfg.StreamLen), cfg.Seed, uint64(cfg.Copies)} {
+		b = frame.AppendUvarint(b, v)
 	}
-	if token != "old-sess" || got != want || ver != protoV1 || !trace.IsZero() {
-		t.Fatalf("v1 hello parsed as token %q ver %d trace %v cfg %+v", token, ver, trace, got)
-	}
-
-	// Unknown versions fail typed, on both ends.
-	var f frameIO
-	if err := f.writeHello(frameHello, protoV2+1, "x", obs.TraceID{}, want); !errors.Is(err, ErrWire) {
-		t.Fatalf("writeHello accepted version %d: %v", protoV2+1, err)
-	}
-	bad := roundTrip(t, func(f *frameIO) error {
-		f.beginFrame(frameHello)
-		f.appendU64(uint64(protoV2 + 1))
-		f.appendString("x")
-		return f.endFrame()
-	}, frameHello)
-	if _, _, _, _, err := parseHello(bad); !errors.Is(err, ErrWire) {
-		t.Fatalf("parseHello accepted version %d: %v", protoV2+1, err)
-	}
-
-	// A v2 hello truncated inside the trace field fails typed.
-	short := roundTrip(t, func(f *frameIO) error {
-		f.beginFrame(frameHello)
-		f.appendU64(protoV2)
-		f.appendString("x")
-		f.out = append(f.out, 0xAB, 0xCD) // 2 of the 16 trace bytes
-		return f.endFrame()
-	}, frameHello)
-	if _, _, _, _, err := parseHello(short); !errors.Is(err, ErrWire) {
-		t.Fatalf("truncated trace field accepted: %v", err)
-	}
-}
-
-// TestWireHelloAckCompat pins the ack formats: a new client parses both the
-// old two-field ack and the v2 ack with the trailing trace.
-func TestWireHelloAckCompat(t *testing.T) {
-	// Old server's ack: token + pos only.
-	body := roundTrip(t, func(f *frameIO) error {
-		return f.writeHelloAck("tok", 500, obs.TraceID{})
-	}, frameHelloAck)
-	token, pos, trace, err := parseHelloAck(body, "")
-	if err != nil {
-		t.Fatalf("old-format ack rejected: %v", err)
-	}
-	if token != "tok" || pos != 500 || !trace.IsZero() {
-		t.Fatalf("old ack parsed as %q/%d/%v", token, pos, trace)
-	}
-
-	// New server's ack to a v2 client: trace rides at the end.
-	want := obs.NewTraceID()
-	body = roundTrip(t, func(f *frameIO) error {
-		return f.writeHelloAck("tok", 500, want)
-	}, frameHelloAck)
-	token, pos, trace, err = parseHelloAck(body, "")
-	if err != nil {
-		t.Fatalf("v2 ack rejected: %v", err)
-	}
-	if token != "tok" || pos != 500 || trace != want {
-		t.Fatalf("v2 ack parsed as %q/%d/%v, want trace %v", token, pos, trace, want)
-	}
-
-	// An ack with a mangled tail (neither 0 nor 16 trailing bytes) fails.
-	bad := roundTrip(t, func(f *frameIO) error {
-		f.beginFrame(frameHelloAck)
-		f.appendString("tok")
-		f.appendU64(500)
-		f.out = append(f.out, 1, 2, 3)
-		return f.endFrame()
-	}, frameHelloAck)
-	if _, _, _, err := parseHelloAck(bad, ""); !errors.Is(err, ErrWire) {
-		t.Fatalf("mangled ack tail accepted: %v", err)
-	}
+	return f.End(frame.AppendF64(b, cfg.Alpha))
 }
 
 func TestWireEdgesRoundTrip(t *testing.T) {
 	edges := []stream.Edge{{Set: 0, Elem: 0}, {Set: 3999, Elem: 299}, {Set: 17, Elem: 80}}
-	body := roundTrip(t, func(f *frameIO) error { return f.writeEdges(edges) }, frameEdges)
+	body := roundTrip(t, func(f *frame.IO) error { return writeEdges(f, edges) }, frameEdges)
 	dst := make([]stream.Edge, MaxBatch)
 	n, err := parseEdgesInto(body, dst, 300, 4000)
 	if err != nil {
@@ -154,8 +113,8 @@ func TestWireEdgesRoundTrip(t *testing.T) {
 }
 
 func TestWireEdgesRejectsOutOfShape(t *testing.T) {
-	body := roundTrip(t, func(f *frameIO) error {
-		return f.writeEdges([]stream.Edge{{Set: 40, Elem: 5}})
+	body := roundTrip(t, func(f *frame.IO) error {
+		return writeEdges(f, []stream.Edge{{Set: 40, Elem: 5}})
 	}, frameEdges)
 	dst := make([]stream.Edge, MaxBatch)
 	// The edge is legal for the sender's shape but not the session's.
@@ -168,11 +127,11 @@ func TestWireEdgesRejectsOutOfShape(t *testing.T) {
 }
 
 func TestWireEdgesRejectsOversizedBatch(t *testing.T) {
-	var f frameIO
-	if err := f.writeEdges(make([]stream.Edge, MaxBatch+1)); !errors.Is(err, ErrWire) {
+	f := newFrameIO(nil)
+	if err := writeEdges(f, make([]stream.Edge, MaxBatch+1)); !errors.Is(err, ErrWire) {
 		t.Fatalf("oversized batch: got %v, want ErrWire", err)
 	}
-	if err := f.writeEdges(nil); !errors.Is(err, ErrWire) {
+	if err := writeEdges(f, nil); !errors.Is(err, ErrWire) {
 		t.Fatalf("empty batch: got %v, want ErrWire", err)
 	}
 }
@@ -188,7 +147,7 @@ func TestWireResultRoundTrip(t *testing.T) {
 		},
 		Space: space.Usage{State: 4000, Aux: 900},
 	}
-	body := roundTrip(t, func(f *frameIO) error { return f.writeResult(want) }, frameResult)
+	body := roundTrip(t, func(f *frame.IO) error { return writeResult(f, want) }, frameResult)
 	got, err := parseResult(body)
 	if err != nil {
 		t.Fatalf("parseResult: %v", err)
@@ -212,8 +171,8 @@ func TestWireErrorFramesAreTyped(t *testing.T) {
 		{codeBadFrame, ErrRemote},
 	}
 	for _, tc := range cases {
-		body := roundTrip(t, func(f *frameIO) error {
-			return f.writeError(tc.code, "boom")
+		body := roundTrip(t, func(f *frame.IO) error {
+			return writeError(f, tc.code, "boom")
 		}, frameError)
 		err := parseError(body)
 		if !errors.Is(err, tc.want) {
@@ -232,7 +191,7 @@ func TestWireFrameCorruption(t *testing.T) {
 	encode := func() []byte {
 		var buf bytes.Buffer
 		f := newFrameIO(&buf)
-		if err := f.writeHello(frameHello, protoV2, "tok", obs.NewTraceID(), Config{Algo: "kk", N: 3, M: 5, Seed: 1}); err != nil {
+		if err := writeHello(f, frameHello, "tok", obs.NewTraceID(), Config{Algo: "kk", N: 3, M: 5, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -247,7 +206,7 @@ func TestWireFrameCorruption(t *testing.T) {
 			raw := append([]byte(nil), base...)
 			raw[i] ^= 0x40
 			f := newFrameIO(bytes.NewBuffer(raw))
-			if _, err := f.readFrame(); err == nil {
+			if _, err := f.Read(); err == nil {
 				t.Fatalf("flip at byte %d accepted silently", i)
 			}
 		}
@@ -256,7 +215,7 @@ func TestWireFrameCorruption(t *testing.T) {
 	t.Run("truncation", func(t *testing.T) {
 		for cut := 1; cut < len(base); cut++ {
 			f := newFrameIO(bytes.NewBuffer(base[:cut]))
-			if _, err := f.readFrame(); err == nil {
+			if _, err := f.Read(); err == nil {
 				t.Fatalf("truncation to %d bytes accepted", cut)
 			}
 		}
@@ -266,14 +225,14 @@ func TestWireFrameCorruption(t *testing.T) {
 		raw := append([]byte(nil), base...)
 		raw[0], raw[1], raw[2], raw[3] = 0xff, 0xff, 0xff, 0xff
 		f := newFrameIO(bytes.NewBuffer(raw))
-		if _, err := f.readFrame(); !errors.Is(err, ErrWire) {
+		if _, err := f.Read(); !errors.Is(err, ErrWire) {
 			t.Fatalf("oversized length: got %v, want ErrWire", err)
 		}
 	})
 
 	t.Run("zero-length", func(t *testing.T) {
 		f := newFrameIO(bytes.NewBuffer([]byte{0, 0, 0, 0}))
-		if _, err := f.readFrame(); !errors.Is(err, ErrWire) {
+		if _, err := f.Read(); !errors.Is(err, ErrWire) {
 			t.Fatalf("zero length: got %v, want ErrWire", err)
 		}
 	})
@@ -282,17 +241,15 @@ func TestWireFrameCorruption(t *testing.T) {
 func TestWireTrailingBytesRejected(t *testing.T) {
 	var buf bytes.Buffer
 	f := newFrameIO(&buf)
-	f.beginFrame(frameFlush)
-	f.out = append(f.out, 0xAA) // stray byte after a body-less frame
-	if err := f.endFrame(); err != nil {
+	if err := f.End(append(f.Begin(), frameFlush, 0xAA)); err != nil { // stray byte after a body-less frame
 		t.Fatal(err)
 	}
-	payload, err := f.readFrame()
+	payload, err := f.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cursor{b: payload[1:]}
-	if err := c.done(); !errors.Is(err, ErrWire) {
+	c := frame.NewCursor(payload[1:])
+	if err := c.Done(); !errors.Is(err, ErrWire) {
 		t.Fatalf("trailing bytes: got %v, want ErrWire", err)
 	}
 }

@@ -138,7 +138,7 @@ func checkpointSampler(alg Algorithm, p CheckpointPolicy, ro *obs.RunObs) (func(
 			if err := p.Sink(pos, buf.Bytes()); err != nil {
 				return fmt.Errorf("stream: checkpoint sink at edge %d: %w", pos, err)
 			}
-		} else if err := atomicWriteFile(p.Path, buf.Bytes()); err != nil {
+		} else if err := AtomicWriteFile(p.Path, buf.Bytes()); err != nil {
 			return fmt.Errorf("stream: checkpoint write at edge %d: %w", pos, err)
 		}
 		ro.Checkpoint(int64(buf.Len()), time.Since(t0).Nanoseconds())
@@ -269,7 +269,7 @@ func WriteCheckpointFileTraced(path string, pos int, trace obs.TraceID, alg Algo
 	if err := WriteCheckpointTraced(&buf, pos, trace, alg); err != nil {
 		return err
 	}
-	return atomicWriteFile(path, buf.Bytes())
+	return AtomicWriteFile(path, buf.Bytes())
 }
 
 // ReadCheckpointFile restores a checkpoint file into alg and returns the
@@ -386,10 +386,11 @@ func (b oneByteReader) ReadByte() (byte, error) {
 	return one[0], err
 }
 
-// atomicWriteFile writes data to path via a temp file in the same directory
-// plus rename, so readers never observe a partially written file and a crash
-// mid-write leaves any previous file intact.
-func atomicWriteFile(path string, data []byte) error {
+// AtomicWriteFile writes data to path via a fsynced temp file in the same
+// directory plus rename, so readers never observe a partially written file
+// and a crash mid-write leaves any previous file intact. Checkpoint files
+// and the serving tier's FileStore both write through it.
+func AtomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -126,7 +126,7 @@ func run(storeKind string) error {
 
 // runContend hammers one server with many concurrent sessions on the same
 // deterministic workload: every open/close crosses the lifecycle manager's
-// lock stripes and the frameIO/ring free-lists at once, so under `go run
+// lock stripes and the frame.IO/ring free-lists at once, so under `go run
 // -race` this leg is the striped manager's data-race probe. Every session
 // must produce the byte-identical reference fingerprint.
 func runContend(storeKind string, sessions int) error {
