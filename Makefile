@@ -34,15 +34,15 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/scbench -config full
 
-# Tier-1 gate (ROADMAP.md): static checks, full race-enabled test suite, the
-# checkpoint-store conformance suite (both backends through the shared
-# contract tests), a one-iteration smoke of the perf-tracked benchmarks, and
-# the compute-layer equivalence smoke.
+# Tier-1 gate (ROADMAP.md): static checks, full race-enabled test suite
+# (which includes the checkpoint-store conformance suite), a one-iteration
+# smoke of the perf-tracked benchmarks, the compute-layer equivalence smoke,
+# and the live-monitoring and sharded-cluster process smokes. CI runs each of
+# these once, through this target.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -run TestStoreConformance ./internal/serve/store/
 	$(GO) test -run '^$$' -bench EndToEnd -benchtime 1x .
 	$(MAKE) kernel-smoke
 	$(MAKE) stat-smoke

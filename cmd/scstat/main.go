@@ -280,7 +280,7 @@ func render(w io.Writer, st status, prev map[string]rateSample) {
 		time.Unix(0, s.TakenAtUnixNs).Format("15:04:05"),
 		health, ready, s.Active, len(s.Sessions), s.Capacity, s.SessionsTotal, s.EvictedActive)
 
-	tb := texttable.New("", "TOKEN", "TRACE", "ALGO", "STATE", "EDGES", "EDGES/S", "STALLS", "RING", "CKPT-B", "AGE", "IDLE")
+	tb := texttable.New("", "TOKEN", "TRACE", "ALGO", "STATE", "EDGES", "EDGES/S", "CKPT-B", "AGE", "IDLE")
 	seen := make(map[string]bool, len(s.Sessions))
 	for _, row := range s.Sessions {
 		rate := row.EdgesPerSec
@@ -296,8 +296,6 @@ func render(w io.Writer, st status, prev map[string]rateSample) {
 		tb.AddRow(row.Token, shortTrace(row.Trace), row.Algo, state,
 			fmt.Sprintf("%d", row.Edges),
 			fmt.Sprintf("%.0f", rate),
-			fmt.Sprintf("%d", row.IngestStalls),
-			fmt.Sprintf("%d", row.RingOccupancy),
 			fmt.Sprintf("%d", row.CheckpointBytes),
 			fmtDur(row.AgeSeconds),
 			fmtDur(row.IdleSeconds))

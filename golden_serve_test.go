@@ -3,7 +3,7 @@ package streamcover
 // Network extension of the golden fixtures: the same workload, seeds and
 // algorithms as golden_test.go, but fed over TCP through the SCWIRE1
 // serving stack. The served fingerprints must equal the recorded seed
-// implementation's — the wire framing, session ring and batched dispatch
+// implementation's — the wire framing, in-place decode and batched dispatch
 // must not perturb a single byte of observable output. A second sweep
 // kills the connection mid-stream (no detach frame), resumes from the
 // server's checkpoint, and demands the same fingerprints again — once per

@@ -34,18 +34,16 @@ func TestEmitPathsDoNotAllocate(t *testing.T) {
 	check("RunObs.RunDone", func() { ro.RunDone(1000, 500) })
 
 	// The serving layer's steady-state paths: per-batch session-slot
-	// updates, stall accounting and the frame latency histograms must all
-	// be allocation-free once the session is bound.
+	// updates and the frame latency histograms must all be allocation-free
+	// once the session is bound.
 	so := h.Serve()
 	slot := so.AcquireSession("alloc-probe", "kk", NewTraceID(), false, 0)
 	if slot == nil {
 		t.Fatal("AcquireSession returned nil with obs enabled")
 	}
-	check("SessionSlot.Batch", func() { slot.Batch(4096, 2) })
-	check("SessionSlot.Stall", func() { slot.Stall() })
+	check("SessionSlot.Batch", func() { slot.Batch(4096) })
 	check("SessionSlot.Checkpoint", func() { slot.Checkpoint(1 << 16) })
 	check("ServeObs.Batch", func() { so.Batch(4096) })
-	check("ServeObs.IngestStall", func() { so.IngestStall() })
 	check("ServeObs.HelloLatency", func() { so.HelloLatency(1500) })
 	check("ServeObs.AckLatency", func() { so.AckLatency(1500) })
 	check("ServeObs.ResultLatency", func() { so.ResultLatency(1500) })
@@ -56,7 +54,7 @@ func TestEmitPathsDoNotAllocate(t *testing.T) {
 	var nso *ServeObs
 	check("nil Sink.Emit", func() { ns.Emit(KindPatch, 0, 0, 0, 0) })
 	check("nil RunObs.Batch", func() { nro.Batch(1, 1) })
-	check("nil SessionSlot.Batch", func() { nslot.Batch(1, 1) })
+	check("nil SessionSlot.Batch", func() { nslot.Batch(1) })
 	check("nil ServeObs.HelloLatency", func() { nso.HelloLatency(1) })
 	check("nil ServeObs.Event", func() { nso.Event(SessionEvent{}) })
 }

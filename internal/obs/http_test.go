@@ -70,8 +70,7 @@ func TestHandlerSessionsEndpoint(t *testing.T) {
 
 	tr := NewTraceID()
 	slot := h.Serve().AcquireSession("sess-1", "alg1", tr, false, 0)
-	slot.Batch(4096, 2)
-	slot.Stall()
+	slot.Batch(4096)
 
 	var snap SessionsSnapshot
 	if code := getJSON(t, srv.URL+"/sessions", &snap); code != http.StatusOK {
@@ -82,7 +81,7 @@ func TestHandlerSessionsEndpoint(t *testing.T) {
 	}
 	row := snap.Sessions[0]
 	if row.Token != "sess-1" || row.Trace != tr.String() || row.Algo != "alg1" ||
-		row.State != "active" || row.Edges != 4096 || row.IngestStalls != 1 {
+		row.State != "active" || row.Edges != 4096 {
 		t.Fatalf("row %+v", row)
 	}
 }

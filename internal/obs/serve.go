@@ -6,15 +6,10 @@ import (
 )
 
 // ServeObs instruments the network serving layer (internal/serve): session
-// lifecycle counts, ingested traffic, ring backpressure stalls, and the
-// checkpoint/resume cycle behind disconnect tolerance. Like Sink/RunObs it
-// is nil-safe — a nil receiver ignores every update — so sessions carry one
-// pointer and the hot ingest path pays only an inlined nil check.
-//
-// Reading the stalls: an ingest stall means a connection reader blocked
-// because its session ring was full — the algorithm is the bottleneck and
-// backpressure is propagating to the client through TCP, which is the
-// intended behavior, not an error.
+// lifecycle counts, ingested traffic, and the checkpoint/resume cycle
+// behind disconnect tolerance. Like Sink/RunObs it is nil-safe — a nil
+// receiver ignores every update — so sessions carry one pointer and the
+// hot ingest path pays only an inlined nil check.
 type ServeObs struct {
 	sessionsActive  *Gauge
 	sessionsTotal   *Counter
@@ -23,7 +18,6 @@ type ServeObs struct {
 	adoptionNs      *Histogram
 	batches         *Counter
 	edges           *Counter
-	ingestStalls    *Counter
 	checkpoints     *Counter
 	checkpointBytes *Histogram
 	batchEdges      *Histogram
@@ -70,8 +64,6 @@ func NewServeObs(reg *Registry, sessions *SessionTable) *ServeObs {
 			"Edge batches ingested over the wire."),
 		edges: reg.Counter("streamcover_serve_edges_total",
 			"Edges ingested over the wire."),
-		ingestStalls: reg.Counter("streamcover_serve_ingest_stalls_total",
-			"Times a connection reader blocked on a full session ring (backpressure)."),
 		checkpoints: reg.Counter("streamcover_serve_checkpoints_total",
 			"Detach checkpoints persisted for disconnected sessions."),
 		checkpointBytes: reg.Histogram("streamcover_serve_checkpoint_bytes",
@@ -203,14 +195,6 @@ func (s *ServeObs) Batch(edges int) {
 	s.batches.Inc()
 	s.edges.Add(int64(edges))
 	s.batchEdges.Observe(int64(edges))
-}
-
-// IngestStall records a connection reader blocking on a full ring.
-func (s *ServeObs) IngestStall() {
-	if !Enabled || s == nil {
-		return
-	}
-	s.ingestStalls.Inc()
 }
 
 // StorePut records one checkpoint-store Put of the given size and

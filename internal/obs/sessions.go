@@ -64,8 +64,6 @@ type sessSlot struct {
 	state     atomic.Uint32
 	edges     atomic.Int64
 	batches   atomic.Int64
-	stalls    atomic.Int64
-	ringOcc   atomic.Int64
 	ckptBytes atomic.Int64
 	lastNs    atomic.Int64
 }
@@ -73,9 +71,9 @@ type sessSlot struct {
 // SessionTable is the hub's fixed-size per-session telemetry surface:
 // Acquire binds a slot at session open/resume (lock + a small handle
 // allocation — the session-open path, not the hot path), per-batch updates
-// go through the returned SessionSlot handle with three or four atomic
-// stores and zero allocations, and Snapshot renders the live table for
-// /sessions and scstat.
+// go through the returned SessionSlot handle with three atomic updates and
+// zero allocations, and Snapshot renders the live table for /sessions and
+// scstat.
 //
 // Retired sessions (finished, failed, detached) keep their slot — and stay
 // visible in snapshots — until capacity pressure reuses it, preferring free
@@ -129,8 +127,6 @@ func (t *SessionTable) Acquire(token, algo string, trace TraceID, resumed bool, 
 	s.state.Store(uint32(StateActive))
 	s.edges.Store(startEdges)
 	s.batches.Store(0)
-	s.stalls.Store(0)
-	s.ringOcc.Store(0)
 	s.ckptBytes.Store(0)
 	s.lastNs.Store(now)
 	t.binds.Add(1)
@@ -191,27 +187,16 @@ func (h *SessionSlot) slot() *sessSlot {
 	return s
 }
 
-// Batch records one ingested edge batch and the ring occupancy observed
-// right after it was queued. Three atomic adds and two atomic stores; no
-// locks, no allocation.
-func (h *SessionSlot) Batch(edges, ringOccupancy int) {
+// Batch records one ingested edge batch. Two atomic adds and one atomic
+// store; no locks, no allocation.
+func (h *SessionSlot) Batch(edges int) {
 	s := h.slot()
 	if s == nil {
 		return
 	}
 	s.edges.Add(int64(edges))
 	s.batches.Add(1)
-	s.ringOcc.Store(int64(ringOccupancy))
 	s.lastNs.Store(time.Now().UnixNano())
-}
-
-// Stall records the session's connection reader blocking on a full ring.
-func (h *SessionSlot) Stall() {
-	s := h.slot()
-	if s == nil {
-		return
-	}
-	s.stalls.Add(1)
 }
 
 // Checkpoint records the size of the session's latest durable checkpoint.
@@ -235,16 +220,6 @@ func (h *SessionSlot) SetState(st SessionState) {
 	s.lastNs.Store(time.Now().UnixNano())
 }
 
-// Stalls reads the session's stall count (wide-event emission reads the
-// counters back at lifecycle transitions).
-func (h *SessionSlot) Stalls() int64 {
-	s := h.slot()
-	if s == nil {
-		return 0
-	}
-	return s.stalls.Load()
-}
-
 // Edges reads the session's cumulative edge count.
 func (h *SessionSlot) Edges() int64 {
 	s := h.slot()
@@ -265,8 +240,6 @@ type SessionInfo struct {
 
 	Edges           int64 `json:"edges"`
 	Batches         int64 `json:"batches"`
-	IngestStalls    int64 `json:"ingest_stalls"`
-	RingOccupancy   int64 `json:"ring_occupancy"`
 	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
 
 	OpenedUnixNs       int64 `json:"opened_unix_ns"`
@@ -323,8 +296,6 @@ func (t *SessionTable) Snapshot() SessionsSnapshot {
 			Resumed:            s.resumed,
 			Edges:              s.edges.Load(),
 			Batches:            s.batches.Load(),
-			IngestStalls:       s.stalls.Load(),
-			RingOccupancy:      s.ringOcc.Load(),
 			CheckpointBytes:    s.ckptBytes.Load(),
 			OpenedUnixNs:       s.openedNs,
 			LastActivityUnixNs: s.lastNs.Load(),

@@ -47,9 +47,8 @@ func TestSessionTableLifecycle(t *testing.T) {
 	if h == nil {
 		t.Fatal("Acquire returned nil with obs enabled")
 	}
-	h.Batch(100, 2)
-	h.Batch(28, 1)
-	h.Stall()
+	h.Batch(100)
+	h.Batch(28)
 	h.Checkpoint(4096)
 
 	snap := tab.Snapshot()
@@ -60,7 +59,7 @@ func TestSessionTableLifecycle(t *testing.T) {
 	if row.Token != "s1" || row.Algo != "kk" || row.Trace != tr.String() || row.State != "active" {
 		t.Fatalf("row %+v", row)
 	}
-	if row.Edges != 128 || row.Batches != 2 || row.IngestStalls != 1 || row.RingOccupancy != 1 || row.CheckpointBytes != 4096 {
+	if row.Edges != 128 || row.Batches != 2 || row.CheckpointBytes != 4096 {
 		t.Fatalf("counters %+v", row)
 	}
 	if row.OpenedUnixNs == 0 || row.LastActivityUnixNs < row.OpenedUnixNs {
@@ -75,7 +74,7 @@ func TestSessionTableLifecycle(t *testing.T) {
 	// A resume with the same trace must rebind the detached slot in place —
 	// one row for one session identity — seeding edges from the checkpoint.
 	h2 := tab.Acquire("s1", "kk", tr, true, 128)
-	h2.Batch(72, 0)
+	h2.Batch(72)
 	snap = tab.Snapshot()
 	if len(snap.Sessions) != 1 {
 		t.Fatalf("resume grew the table to %d rows, want rebind", len(snap.Sessions))
@@ -87,7 +86,7 @@ func TestSessionTableLifecycle(t *testing.T) {
 
 	// The pre-resume handle is a stale generation: its updates must land
 	// nowhere.
-	h.Batch(1000, 3)
+	h.Batch(1000)
 	h.SetState(StateFailed)
 	row = tab.Snapshot().Sessions[0]
 	if row.Edges != 200 || row.State != "active" {
@@ -142,11 +141,10 @@ func TestSessionTableNilSafety(t *testing.T) {
 		t.Fatal("nil table returned a handle")
 	}
 	var h *SessionSlot
-	h.Batch(1, 1)
-	h.Stall()
+	h.Batch(1)
 	h.Checkpoint(1)
 	h.SetState(StateFinished)
-	if h.Edges() != 0 || h.Stalls() != 0 {
+	if h.Edges() != 0 {
 		t.Fatal("nil handle reads nonzero")
 	}
 	if s := tab.Snapshot(); len(s.Sessions) != 0 {
@@ -177,7 +175,7 @@ func TestWideEventLog(t *testing.T) {
 	tr := NewTraceID()
 	l.Emit(SessionEvent{Event: EventSessionOpen, Token: "s1", Trace: tr.String(), Algo: "kk"})
 	l.Emit(SessionEvent{Event: EventSessionDetach, Token: "s1", Trace: tr.String(), Algo: "kk",
-		Edges: 512, IngestStalls: 3, CheckpointBytes: 9000, Cause: "disconnect"})
+		Edges: 512, CheckpointBytes: 9000, Cause: "disconnect"})
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -188,7 +186,7 @@ func TestWideEventLog(t *testing.T) {
 			t.Errorf("open line missing %s: %s", want, lines[0])
 		}
 	}
-	for _, want := range []string{`"event":"session_detach"`, `"edges":512`, `"ingest_stalls":3`, `"checkpoint_bytes":9000`, `"cause":"disconnect"`} {
+	for _, want := range []string{`"event":"session_detach"`, `"edges":512`, `"checkpoint_bytes":9000`, `"cause":"disconnect"`} {
 		if !strings.Contains(lines[1], want) {
 			t.Errorf("detach line missing %s: %s", want, lines[1])
 		}

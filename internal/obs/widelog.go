@@ -23,7 +23,6 @@ type SessionEvent struct {
 	Algo  string `json:"algo,omitempty"`
 
 	Edges           int64 `json:"edges,omitempty"`
-	IngestStalls    int64 `json:"ingest_stalls,omitempty"`
 	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
 	// Active rides on server_drain: sessions still attached at drain start.
 	Active int64 `json:"active,omitempty"`

@@ -160,7 +160,8 @@ func (c *Client) Resume(token string, cfg Config) (int, error) {
 // coalesce locally and ship as one write once the buffer crosses its
 // threshold or the next reply is awaited — call Sync to force delivery
 // without waiting for an ack. It never waits for acknowledgement —
-// backpressure arrives through TCP when the server's session ring is full.
+// backpressure arrives through TCP when the server's algorithm falls
+// behind.
 func (c *Client) SendBatch(edges []stream.Edge) error {
 	c.deadlines()
 	if err := writeEdges(c.f, edges); err != nil {

@@ -13,11 +13,11 @@
 //     session token behind the CheckpointStore interface (FileStore for
 //     the durable `<token>.ckpt` directory, MemStore for dirless runs).
 //   - internal/serve/lifecycle owns the session state machine — open,
-//     resume, detach, finish, drain — plus the algorithm registry and the
-//     ingest ring. It imports neither net nor os.
+//     resume, detach, finish, drain — plus the algorithm registry and each
+//     session's ingest buffer. It imports neither net nor os.
 //   - this package speaks SCWIRE1 over TCP, decoding edge frames straight
-//     into ring buffers leased from Session.Reserve and mapping lifecycle
-//     errors onto wire error codes. Type aliases in serve.go re-export the
+//     into the buffer Session.Reserve returns and mapping lifecycle errors
+//     onto wire error codes. Type aliases in serve.go re-export the
 //     lifecycle/store surface so consumers import one package.
 //
 // The edge-arrival model the paper studies is exactly what a network
@@ -51,16 +51,16 @@
 //
 // # Session lifecycle and resume semantics
 //
-// Each connection owns at most one session. Edge batches flow from the
-// connection reader into a bounded ring of reusable buffers (backpressure:
-// when the ring is full the reader blocks, which TCP propagates to the
-// client; stalls are counted in internal/obs) and a per-session worker
-// goroutine drains the ring into the algorithm via ProcessBatch — the same
-// zero-allocation batch path as the file driver, so the server's steady
-// state allocates nothing per edge batch.
+// Each connection owns at most one session, and its goroutine is the only
+// one the session runs on: the connection reader decodes each edge batch
+// into the session's reusable buffer and applies it to the algorithm via
+// ProcessBatch — the same zero-allocation batch path as the file driver,
+// so the server's steady state allocates nothing per edge batch. While a
+// batch is being processed the reader does not read, so a slow algorithm
+// fills the socket buffers and TCP pushes back on the client.
 //
 // On any disconnect — abrupt drop, read timeout, explicit detach, or
-// server drain on SIGTERM — the worker drains what was already queued and
+// server drain on SIGTERM — every batch already read has been applied, and
 // the session persists an SCCKPT1 checkpoint (internal/snap discipline,
 // via stream.WriteCheckpointTraced, serialized to bytes and handed to the
 // configured CheckpointStore) at the exact position it consumed. A

@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -29,7 +30,7 @@ func testEdges(cfg Config) []stream.Edge {
 	return edges
 }
 
-// feed pushes edges through the Reserve/Enqueue lease API in ring-sized
+// feed pushes edges through the Reserve/Enqueue API in MaxBatch-sized
 // batches, exactly as the transport does.
 func feed(s *Session, edges []stream.Edge) {
 	for off := 0; off < len(edges); {
@@ -116,6 +117,40 @@ func TestLifecycleDetachResumeRoundTrip(t *testing.T) {
 	// Finish retires the checkpoint for good.
 	if _, err := st.Get("broken"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("checkpoint survived Finish: %v", err)
+	}
+}
+
+// TestLifecycleSessionsRunNoGoroutines pins one goroutine per session: a
+// session applies each batch on the goroutine feeding it, so opening and
+// feeding sessions starts no goroutine of their own.
+func TestLifecycleSessionsRunNoGoroutines(t *testing.T) {
+	cfg := testConfig()
+	edges := testEdges(cfg)
+	mgr, err := NewManager(store.NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	sessions := make([]*Session, 16)
+	for i := range sessions {
+		s := mustOpen(t, mgr, "", cfg)
+		s.Enqueue(copy(s.Reserve(), edges))
+		sessions[i] = s
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines with %d sessions open, %d before them", got, len(sessions), before)
+	}
+	for i, s := range sessions {
+		if i%2 == 0 {
+			if pos, err := mgr.Detach(s, "test-detach"); err != nil || pos != len(edges) {
+				t.Fatalf("Detach %s: pos=%d err=%v, want pos %d", s.Token(), pos, err, len(edges))
+			}
+		} else if res, err := mgr.Finish(s); err != nil || res.Edges != len(edges) {
+			t.Fatalf("Finish %s: edges=%d err=%v, want %d", s.Token(), res.Edges, err, len(edges))
+		}
+	}
+	if mgr.Active() != 0 {
+		t.Fatalf("Active = %d after retiring every session", mgr.Active())
 	}
 }
 

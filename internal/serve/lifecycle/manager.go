@@ -51,8 +51,8 @@ type managerStripe struct {
 // disconnects (and across server restarts — resume is driven purely by the
 // stored SCCKPT1 blob, not by in-memory state). The manager serializes
 // checkpoints itself and moves only opaque bytes through the store, so the
-// same Manager runs against a directory, process memory, or the planned
-// cluster store.
+// same Manager runs against a directory, process memory, or the cluster's
+// shared SCSTOR1 store.
 //
 // The attached-token table is striped by token hash: sessions on different
 // tokens attach, flush and detach without sharing a lock. Server-chosen
@@ -356,7 +356,7 @@ func (m *Manager) putCheckpoint(s *Session, pos int) (int, error) {
 	return n, nil
 }
 
-// Detach drains s, persists its checkpoint — stamped with the session's
+// Detach stops s, persists its checkpoint — stamped with the session's
 // trace ID — and releases the token. It serves both the graceful detach
 // frame and abrupt disconnects, with cause recording which ("detach-frame",
 // "disconnect", an error string); the two paths must behave identically for
@@ -380,16 +380,15 @@ func (m *Manager) Detach(s *Session, cause string) (int, error) {
 	if m.so.Eventing() {
 		m.so.Event(obs.SessionEvent{
 			Event: obs.EventSessionDetach, Token: s.token, Trace: s.trace.String(), Algo: s.cfg.Algo,
-			Edges: int64(pos), IngestStalls: s.tslot.Stalls(), CheckpointBytes: int64(n), Cause: cause,
+			Edges: int64(pos), CheckpointBytes: int64(n), Cause: cause,
 			Store: m.storeName, Shard: m.shard,
 		})
 	}
-	s.retire()
 	return pos, nil
 }
 
-// Finish drains s, finishes the algorithm and retires the session for
-// good, removing any detach checkpoint left by an earlier disconnect.
+// Finish finishes s's algorithm and retires the session for good,
+// removing any detach checkpoint left by an earlier disconnect.
 func (m *Manager) Finish(s *Session) (Result, error) {
 	res, err := s.finish()
 	if err != nil {
@@ -404,29 +403,26 @@ func (m *Manager) Finish(s *Session) (Result, error) {
 	if m.so.Eventing() {
 		m.so.Event(obs.SessionEvent{
 			Event: obs.EventSessionFinish, Token: s.token, Trace: s.trace.String(), Algo: s.cfg.Algo,
-			Edges: int64(res.Edges), IngestStalls: s.tslot.Stalls(), Shard: m.shard,
+			Edges: int64(res.Edges), Shard: m.shard,
 		})
 	}
-	s.retire()
 	return res, err
 }
 
-// fail retires a session whose drain, checkpoint or finish went wrong. The
-// ring is not recycled — a session that failed mid-control may not be
-// quiescent.
+// fail retires a session whose checkpoint or finish went wrong.
 func (m *Manager) fail(s *Session, cause string, err error) {
 	s.tslot.SetState(obs.StateFailed)
 	m.release(s.token)
 	if m.so.Eventing() {
 		m.so.Event(obs.SessionEvent{
 			Event: obs.EventSessionFail, Token: s.token, Trace: s.trace.String(), Algo: s.cfg.Algo,
-			IngestStalls: s.tslot.Stalls(), Cause: cause + ": " + err.Error(), Shard: m.shard,
+			Cause: cause + ": " + err.Error(), Shard: m.shard,
 		})
 	}
 }
 
-// release forgets an attached token. The caller has already retired the
-// session worker.
+// release forgets an attached token. The caller has already stopped or
+// finished the session.
 func (m *Manager) release(token string) {
 	m.unclaim(token)
 	m.so.SessionClosed()

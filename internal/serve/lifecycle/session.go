@@ -2,7 +2,6 @@ package lifecycle
 
 import (
 	"fmt"
-	"sync"
 
 	"streamcover/internal/obs"
 	"streamcover/internal/space"
@@ -11,153 +10,49 @@ import (
 
 // MaxBatch is the largest number of edges one ingest batch may carry. It
 // matches stream.BatchSize so a served batch drains through ProcessBatch
-// in one call, and keeps a session's ring (ringDepth × MaxBatch edges)
-// modest enough to hold hundreds of concurrent sessions. The transport
-// enforces the same bound on edges frames.
+// in one call, and keeps a session's one ingest buffer (MaxBatch edges,
+// 32 KiB) modest enough to hold hundreds of concurrent sessions. The
+// transport enforces the same bound on edges frames.
 const MaxBatch = 4096
 
-// ringDepth is the number of reusable edge buffers in a session's inbound
-// ring. Depth 4 lets the connection reader decode ahead of the algorithm
-// (the same triple-buffering argument as the stream Prefetcher) while
-// bounding resident per-session ingest memory at ringDepth × MaxBatch
-// edges.
-const ringDepth = 4
-
-// ctlKind selects a control action delivered through the session ring, so
-// control observes strict FIFO order with respect to edge batches.
-type ctlKind uint8
-
-const (
-	ctlNone ctlKind = iota
-	ctlFlush
-	ctlFinish
-	ctlStop // park the worker without finishing (detach path)
-)
-
-// slot is one unit handed from the ingest side to the session worker: an
-// edge buffer index, or a control request.
-type slot struct {
-	idx int // ring buffer index; -1 for control slots
-	n   int
-	ctl ctlKind
-}
-
-// reply answers a control slot.
-type reply struct {
-	pos int
-	res Result
-	err error
-}
-
-// ring is a session's reusable ingest machinery: the edge buffers and the
-// channels that hand them between the connection reader and the worker.
-// It is by far the heaviest per-session allocation (ringDepth × MaxBatch
-// edges), so retired sessions return their quiescent rings to a pool and
-// fresh opens start with warm buffers.
-type ring struct {
-	bufs  [][]stream.Edge
-	free  chan int
-	full  chan slot
-	resCh chan reply
-}
-
-// ringFree recycles quiescent rings. A plain free-list rather than a
-// sync.Pool: rings are the heaviest per-session allocation and a GC cycle
-// between sessions would otherwise throw the warm buffers away, turning
-// session churn into steady-state allocation. Bounded at maxPooledRings so
-// a session spike does not pin its peak working set forever.
-var ringFree struct {
-	mu sync.Mutex
-	xs []*ring
-}
-
-const maxPooledRings = 256
-
-func newRing() *ring {
-	ringFree.mu.Lock()
-	if n := len(ringFree.xs); n > 0 {
-		r := ringFree.xs[n-1]
-		ringFree.xs[n-1] = nil
-		ringFree.xs = ringFree.xs[:n-1]
-		ringFree.mu.Unlock()
-		return r
-	}
-	ringFree.mu.Unlock()
-	r := &ring{
-		bufs:  make([][]stream.Edge, ringDepth),
-		free:  make(chan int, ringDepth),
-		full:  make(chan slot, ringDepth),
-		resCh: make(chan reply, 1),
-	}
-	for i := range r.bufs {
-		r.bufs[i] = make([]stream.Edge, MaxBatch)
-		r.free <- i
-	}
-	return r
-}
-
-// quiescent reports whether the ring is back in its pristine state: every
-// buffer in free, nothing queued, no unread reply. A cleanly stopped or
-// finished worker always leaves the ring this way — the stop/finish reply
-// happens strictly after every edge slot was processed and returned.
-func (r *ring) quiescent() bool {
-	return len(r.free) == ringDepth && len(r.full) == 0 && len(r.resCh) == 0
-}
-
 // Session runs one algorithm instance fed from outside the package. The
-// transport leases ring buffers with Reserve, decodes edges into them
-// (zero allocations per batch in steady state — the lifecycle never sees
-// wire bytes) and commits them with Enqueue; the worker goroutine drains
-// them through ProcessBatch — the library's batched hot path. All Session
-// methods are called from a single feeding goroutine (the connection
-// reader); the worker is the only other goroutine touching the algorithm.
+// transport decodes each edge batch into the buffer Reserve returns (zero
+// allocations per batch in steady state — the lifecycle never sees wire
+// bytes) and commits it with Enqueue, which applies it to the algorithm
+// through ProcessBatch — the library's batched hot path — before
+// returning. A session is one sequential stream: every Session method is
+// called from the single goroutine feeding it (the connection reader),
+// which therefore owns the algorithm and the position counter.
 type Session struct {
 	token string
 	trace obs.TraceID // session identity: minted at open, survives resume
 	cfg   Config
 	alg   stream.Algorithm
+	bp    stream.BatchProcessor // alg's batched path; nil when it has none
+	buf   []stream.Edge         // the ingest buffer Reserve hands out
+	pos   int                   // stream position the algorithm state corresponds to
 
-	*ring
-	reserved int // buffer index leased by Reserve, pending Enqueue/Release
-
-	stopped   bool // worker has exited (finish or stop delivered)
+	stopped   bool // Detach or Finish has retired the session
 	persisted bool // this session's lifetime wrote or read a store checkpoint
 	so        *obs.ServeObs
 	tslot     *obs.SessionSlot // per-session telemetry row (nil when off)
 }
 
-// newSession wraps alg (built for cfg) in a pooled ring and starts the
-// worker. pos is the stream position the algorithm state corresponds to
-// (0 for new sessions, the checkpoint position for resumed ones).
+// newSession wraps alg (built for cfg) with its ingest buffer. pos is the
+// stream position the algorithm state corresponds to (0 for new sessions,
+// the checkpoint position for resumed ones).
 func newSession(token string, trace obs.TraceID, cfg Config, alg stream.Algorithm, pos int, so *obs.ServeObs, tslot *obs.SessionSlot) *Session {
-	s := &Session{
-		token:    token,
-		trace:    trace,
-		cfg:      cfg,
-		alg:      alg,
-		ring:     newRing(),
-		reserved: -1,
-		so:       so,
-		tslot:    tslot,
-	}
-	go s.worker(pos)
-	return s
-}
-
-// retire recycles a cleanly stopped session's ring. The session keeps its
-// stopped flag and loses the ring pointer, so a stale handle held past
-// Detach/Finish fails on the stopped guard and can never reach a ring that
-// now belongs to another session.
-func (s *Session) retire() {
-	r := s.ring
-	s.ring = nil
-	s.alg = nil
-	if r != nil && r.quiescent() {
-		ringFree.mu.Lock()
-		if len(ringFree.xs) < maxPooledRings {
-			ringFree.xs = append(ringFree.xs, r)
-		}
-		ringFree.mu.Unlock()
+	bp, _ := alg.(stream.BatchProcessor)
+	return &Session{
+		token: token,
+		trace: trace,
+		cfg:   cfg,
+		alg:   alg,
+		bp:    bp,
+		buf:   make([]stream.Edge, MaxBatch),
+		pos:   pos,
+		so:    so,
+		tslot: tslot,
 	}
 }
 
@@ -171,109 +66,67 @@ func (s *Session) Trace() obs.TraceID { return s.trace }
 // Config reports the configuration the session's algorithm was built from.
 func (s *Session) Config() Config { return s.cfg }
 
-// worker drains the ring into the algorithm. It owns the algorithm and the
-// position counter until a finish or stop control slot retires it; the
-// reply channel's happens-before edge publishes the state back to the
-// feeding goroutine.
-func (s *Session) worker(pos int) {
-	bp, isBP := s.alg.(stream.BatchProcessor)
-	for sl := range s.full {
-		switch sl.ctl {
-		case ctlNone:
-			batch := s.bufs[sl.idx][:sl.n]
-			if isBP {
-				bp.ProcessBatch(batch)
-			} else {
-				for _, e := range batch {
-					s.alg.Process(e)
-				}
-			}
-			pos += sl.n
-			s.free <- sl.idx
-		case ctlFlush:
-			s.resCh <- reply{pos: pos}
-		case ctlFinish:
-			res := Result{Edges: pos, Cover: s.alg.Finish()}
-			if rep, ok := s.alg.(space.Reporter); ok {
-				res.Space = rep.Space()
-			}
-			s.resCh <- reply{pos: pos, res: res}
-			return
-		case ctlStop:
-			s.resCh <- reply{pos: pos}
-			return
+// Reserve returns the session's ingest buffer (capacity MaxBatch) for the
+// caller to decode an edge batch into. The buffer is reused by every
+// batch: its contents are only read by the next Enqueue. A caller whose
+// decode fails simply does not Enqueue.
+func (s *Session) Reserve() []stream.Edge { return s.buf }
+
+// Enqueue applies the first n edges of the Reserve buffer to the
+// algorithm and advances the session's position. It returns once they
+// are processed; a slow algorithm therefore slows the connection reader,
+// and TCP carries that backpressure to the client.
+func (s *Session) Enqueue(n int) {
+	batch := s.buf[:n]
+	if s.bp != nil {
+		s.bp.ProcessBatch(batch)
+	} else {
+		for _, e := range batch {
+			s.alg.Process(e)
 		}
 	}
-}
-
-// Reserve leases the next free ring buffer (capacity MaxBatch) for the
-// caller to decode an edge batch into. When the ring is full the caller
-// blocks until the worker frees a buffer — that is the backpressure path,
-// counted as an ingest stall. Every Reserve must be paired with exactly
-// one Enqueue (to commit) or Release (to abandon).
-func (s *Session) Reserve() []stream.Edge {
-	var idx int
-	select {
-	case idx = <-s.free:
-	default:
-		s.so.IngestStall()
-		s.tslot.Stall()
-		idx = <-s.free
-	}
-	s.reserved = idx
-	return s.bufs[idx]
-}
-
-// Enqueue commits the first n edges of the buffer leased by Reserve,
-// queueing them for the worker.
-func (s *Session) Enqueue(n int) {
-	s.full <- slot{idx: s.reserved, n: n}
-	s.reserved = -1
+	s.pos += n
 	s.so.Batch(n)
-	s.tslot.Batch(n, len(s.full))
+	s.tslot.Batch(n)
 }
 
-// Release returns the buffer leased by Reserve untouched (the caller's
-// decode failed; nothing reaches the algorithm).
-func (s *Session) Release() {
-	s.free <- s.reserved
-	s.reserved = -1
-}
-
-// control queues a control slot and waits for the worker's reply. After a
-// finish or stop the stopped flag latches: the worker has exited, the ring
-// is quiescent and may be recycled, and any later call fails here without
-// touching it.
-func (s *Session) control(k ctlKind) reply {
+// live fails once Detach or Finish has retired the session.
+func (s *Session) live() error {
 	if s.stopped {
-		return reply{err: fmt.Errorf("serve: session %s already stopped", s.token)}
+		return fmt.Errorf("serve: session %s already stopped", s.token)
 	}
-	s.full <- slot{idx: -1, ctl: k}
-	r := <-s.resCh
-	if k == ctlFinish || k == ctlStop {
-		s.stopped = true
-	}
-	return r
+	return nil
 }
 
-// Flush waits until everything queued so far has been processed and
-// returns the consumed position.
+// Flush returns the position consumed so far: every enqueued edge has
+// already been processed.
 func (s *Session) Flush() (int, error) {
-	r := s.control(ctlFlush)
-	return r.pos, r.err
+	if err := s.live(); err != nil {
+		return 0, err
+	}
+	return s.pos, nil
 }
 
-// finish drains the ring, finishes the algorithm and returns the result.
-// The session is dead afterwards.
+// finish finishes the algorithm and returns the result. The session is
+// dead afterwards.
 func (s *Session) finish() (Result, error) {
-	r := s.control(ctlFinish)
-	return r.res, r.err
+	if err := s.live(); err != nil {
+		return Result{}, err
+	}
+	s.stopped = true
+	res := Result{Edges: s.pos, Cover: s.alg.Finish()}
+	if rep, ok := s.alg.(space.Reporter); ok {
+		res.Space = rep.Space()
+	}
+	return res, nil
 }
 
-// stop drains the ring and parks the worker without finishing, returning
-// the consumed position. The algorithm may be snapshotted afterwards (the
-// reply established the happens-before edge).
+// stop retires the session without finishing, returning the consumed
+// position; the algorithm may be snapshotted afterwards.
 func (s *Session) stop() (int, error) {
-	r := s.control(ctlStop)
-	return r.pos, r.err
+	if err := s.live(); err != nil {
+		return 0, err
+	}
+	s.stopped = true
+	return s.pos, nil
 }

@@ -27,7 +27,7 @@ type Result = lifecycle.Result
 // lifecycle.Manager.
 type Manager = lifecycle.Manager
 
-// Session is one running algorithm instance behind its ingest ring. See
+// Session is one running algorithm instance and its ingest buffer. See
 // lifecycle.Session.
 type Session = lifecycle.Session
 

@@ -472,7 +472,7 @@ func TestServeBadEdgeDetachesWithCheckpoint(t *testing.T) {
 	}
 }
 
-// slowAlg is a deliberately slow drop-in used to force ring backpressure.
+// slowAlg is a deliberately slow drop-in that falls behind the client.
 type slowAlg struct {
 	inner stream.Algorithm
 	delay time.Duration
@@ -484,18 +484,15 @@ func (a *slowAlg) Process(e stream.Edge) {
 }
 func (a *slowAlg) Finish() *setcover.Cover { return a.inner.Finish() }
 
-// TestServeBackpressureCountsStalls drives a slow algorithm faster than it
-// can consume: the connection reader must block on the full ring (the
-// stall counter ticks) and TCP pushes back on the client — yet nothing is
-// lost and the session finishes.
-func TestServeBackpressureCountsStalls(t *testing.T) {
+// TestServeSlowAlgorithmLosesNothing drives a slow algorithm faster than it
+// can consume: the connection reader falls behind and TCP pushes back on
+// the client — yet nothing is lost and the session finishes.
+func TestServeSlowAlgorithmLosesNothing(t *testing.T) {
 	edges := testEdges(t)[:4096]
 	Register("slowtest", func(cfg Config, rng *xrand.Rand) stream.Algorithm {
 		return &slowAlg{inner: kk.New(cfg.N, cfg.M, rng), delay: 30 * time.Microsecond}
 	})
-	hub := obs.NewHub(1)
-	so := hub.Serve()
-	srv := startServer(t, ServerConfig{Obs: so})
+	srv := startServer(t, ServerConfig{})
 	c := dialT(t, srv)
 	cfg := Config{Algo: "slowtest", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed}
 	if _, err := c.Hello("", cfg); err != nil {
@@ -509,23 +506,6 @@ func TestServeBackpressureCountsStalls(t *testing.T) {
 	if res.Edges != len(edges) {
 		t.Fatalf("processed %d edges, want %d", res.Edges, len(edges))
 	}
-	stalls := metricValue(t, hub, "streamcover_serve_ingest_stalls_total")
-	if stalls == 0 {
-		t.Fatalf("no ingest stalls recorded while overrunning a slow consumer")
-	}
-	t.Logf("backpressure: %v stalls over %d batches", stalls, (len(edges)+63)/64)
-}
-
-// metricValue reads one counter/gauge from a private hub snapshot.
-func metricValue(t testing.TB, hub *obs.Hub, name string) float64 {
-	t.Helper()
-	for _, p := range hub.Snapshot().Metrics {
-		if p.Name == name {
-			return p.Value
-		}
-	}
-	t.Fatalf("metric %s not registered", name)
-	return 0
 }
 
 // TestServeManagerRejectsBadConfigs covers the validation edges directly.
@@ -658,9 +638,10 @@ func TestServeNewServerNeedsStore(t *testing.T) {
 
 // TestServeSteadyStateAllocs pins the zero-allocation contract of the
 // serving hot path: once a session is warm, an edge-batch round trip —
-// client encode, server frame read, decode into the ring, ProcessBatch,
-// flush ack — allocates nothing on either side. AllocsPerRun counts
-// mallocs process-wide, so the bound covers the server goroutines too.
+// client encode, server frame read, decode into the session's edge buffer,
+// ProcessBatch, flush ack — allocates nothing on either side. AllocsPerRun
+// counts mallocs process-wide, so the bound covers the server's connection
+// goroutine too.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short races")

@@ -41,8 +41,8 @@ type ServerConfig struct {
 
 // Server accepts SCWIRE1 connections and feeds each session's edges
 // through the registered streaming algorithms. One goroutine per
-// connection reads frames; one per session drains the ring — see the
-// package documentation for the full lifecycle. The server is pure
+// connection reads frames and applies their edges — see the package
+// documentation for the full lifecycle. The server is pure
 // transport: session state lives in the lifecycle manager, checkpoints in
 // its store.
 type Server struct {
@@ -308,13 +308,10 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		switch payload[0] {
 		case frameEdges:
-			// Lease a ring buffer from the session, decode the frame
-			// straight into it (no copies, no allocations), and commit.
-			// Reserve blocking on a full ring is the backpressure path.
-			buf := sess.Reserve()
-			n, err := parseEdgesInto(payload[1:], buf, cfg.N, cfg.M)
+			// Decode the frame straight into the session's edge buffer
+			// (no copies, no allocations) and apply it.
+			n, err := parseEdgesInto(payload[1:], sess.Reserve(), cfg.N, cfg.M)
 			if err != nil {
-				sess.Release()
 				s.logf("serve: session %s: %v", sess.Token(), err)
 				writeError(f, errCode(err), err.Error())
 				s.detach(sess, "bad-edges: "+err.Error())

@@ -52,8 +52,8 @@ const (
 // prefix cannot provoke a pathological allocation. Generous enough for a
 // MaxBatch edge frame of worst-case varints and for result frames of
 // laptop-scale universes. An edges frame is additionally bounded by
-// MaxBatch (defined by the lifecycle layer, whose ring buffers are sized to
-// it once at session creation and re-exported in serve.go).
+// MaxBatch (defined by the lifecycle layer, whose session edge buffer is
+// sized to it once at session creation, and re-exported in serve.go).
 const maxFramePayload = 1 << 22
 
 // Read windows. One syscall surfaces several queued frames (a MaxBatch edge
@@ -151,8 +151,8 @@ func writeEdges(f *frame.IO, edges []stream.Edge) error {
 }
 
 // parseEdgesInto decodes an edges body into dst, validating the count
-// against the ring buffer capacity and every edge against the session
-// shape. It returns the number of edges decoded.
+// against the session edge buffer's capacity and every edge against the
+// session shape. It returns the number of edges decoded.
 //
 // The hot loop is a windowed batch decoder in the same shape as
 // stream.File's FillBatch: while a worst-case edge (two maximal varints)

@@ -3,7 +3,7 @@ package streamcover
 // End-to-end benchmark of the SCWIRE1 serving stack: 64 concurrent
 // sessions per op, each feeding the full fixture stream over loopback TCP
 // and finishing. This exercises the whole pipeline — client framing,
-// server frame reads, ring handoff, batched dispatch, result framing —
+// server frame reads, in-place decode, batched dispatch, result framing —
 // under the multi-tenant load the session manager is built for, and is
 // tracked by scbenchdiff alongside the local EndToEnd benchmarks.
 //
