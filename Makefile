@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-save bench-diff experiments experiments-full check paper-check obs-smoke resume-smoke serve-smoke stat-smoke sweep-smoke kernel-smoke cluster-smoke fuzz-smoke fmt vet examples clean
+.PHONY: build test race bench bench-save bench-diff experiments experiments-full check paper-check cluster-smoke fuzz-smoke fmt vet examples clean
 
 build:
 	$(GO) build ./...
@@ -34,84 +34,34 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/scbench -config full
 
-# Tier-1 gate (ROADMAP.md): static checks, full race-enabled test suite
-# (which includes the checkpoint-store conformance suite), a one-iteration
-# smoke of the perf-tracked benchmarks, the compute-layer equivalence smoke,
-# and the live-monitoring and sharded-cluster process smokes. CI runs each of
-# these once, through this target.
+# Tier-1 gate (ROADMAP.md) and the whole of CI's test step: static checks
+# and builds with and without the observability layer, the race-enabled
+# test suite, the suite again with observability compiled out (obsoff), a
+# one-iteration smoke of the perf-tracked benchmarks, and the one
+# multi-process harness.
 check:
 	$(GO) vet ./...
+	$(GO) vet -tags obsoff ./...
 	$(GO) build ./...
+	$(GO) build -tags obsoff ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -tags obsoff ./...
 	$(GO) test -run '^$$' -bench EndToEnd -benchtime 1x .
-	$(MAKE) kernel-smoke
-	$(MAKE) stat-smoke
 	$(MAKE) cluster-smoke
 
 # Re-evaluate every paper-predicted shape; non-zero exit on mismatch.
 paper-check:
 	$(GO) run ./cmd/scbench -config quick -check
 
-# End-to-end observability smoke: run scbench with -obs-listen on an
-# ephemeral port, scrape /metrics once, assert the core series, and read the
-# -trace-out dump back. Self-contained Go harness — no curl required.
-obs-smoke:
-	$(GO) run ./internal/tools/obssmoke
-
-# End-to-end kill-and-resume smoke over an on-disk stream file: periodic
-# checkpoints, a mid-stream kill, restore into a differently-seeded fresh
-# instance, and byte-identical covers — in the default build and with the
-# observability layer compiled out.
-resume-smoke:
-	$(GO) run ./internal/tools/resumesmoke
-	$(GO) run -tags obsoff ./internal/tools/resumesmoke
-
-# End-to-end serving smoke: an in-process scserve session manager fed by the
-# scfeed client library across every algorithm — abrupt kill-and-reconnect
-# resume, and a full server drain-and-restart — byte-compared against
-# uninterrupted local runs (DESIGN.md §4f). Runs once per checkpoint-store
-# backend (DESIGN.md §4i): durable files, then in-process memory.
-serve-smoke:
-	$(GO) run ./internal/tools/servesmoke -store dir
-	$(GO) run ./internal/tools/servesmoke -store mem
-	$(GO) run -race ./internal/tools/servesmoke -store mem -contend 128
-
-# Live-monitoring smoke (DESIGN.md §4h): real scserve/scfeed/scstat
-# processes over TCP — trace-ID survival across a mid-stream kill and
-# resume (printed by scfeed, asserted byte-equal), /sessions rows and the
-# wide-event log via scstat -json, and the /readyz flip during SIGTERM
-# drain — in the default build and with the telemetry compiled out
-# (obsoff), where trace identity and readiness must still hold.
-stat-smoke:
-	$(GO) run ./internal/tools/statsmoke
-
-# Sharded-cluster chaos smoke (DESIGN.md §4k): real scrouter/scserve/scfeed
-# processes — a store-only scrouter serving the shared SCSTOR1 checkpoint
-# store, three scserve -store cluster shards, a consistent-hash routing
-# scrouter, and scfeed -cluster driving 64 concurrent sessions while two
-# shards are SIGTERMed mid-stream. Every severed session resumes through the
-# router and is adopted by a survivor; the sorted token/fingerprint file must
-# be byte-identical to an undisturbed single-shard run, and scstat -fleet
-# must show the killed shards down. Runs in the default build and with every
-# binary race-instrumented.
+# Sharded-cluster chaos smoke (DESIGN.md §4k), the one multi-process
+# harness: real scrouter/scserve/scfeed/scstat processes, built default,
+# -race and -tags obsoff. A golden leg drives 64 sessions through one shard,
+# checks its scstat -json rows and the /readyz flip during a SIGTERM drain;
+# a chaos leg SIGTERMs two of three shards mid-stream, every severed session
+# is adopted by a survivor, and the sorted token/fingerprint file must be
+# byte-identical to the golden leg's.
 cluster-smoke:
 	$(GO) run ./internal/tools/clustersmoke
-	$(GO) run ./internal/tools/clustersmoke -race
-
-# Scheduler determinism smoke: a small sweep grid run with -workers=1 and
-# -workers=4 must produce byte-identical tables and CSV (DESIGN.md §4e).
-sweep-smoke:
-	$(GO) run ./internal/tools/sweepsmoke
-
-# Compute-layer equivalence smoke (DESIGN.md §4g): one iteration of
-# parallel-vs-sequential offline solvers (byte-identical covers at every
-# worker count) and batched-vs-per-edge streaming kernels, plus the
-# steady-state zero-alloc guards rerun with the observability layer
-# compiled out (the default build runs them in `make race`).
-kernel-smoke:
-	$(GO) run ./internal/tools/kernelsmoke
-	$(GO) test -tags obsoff -run 'TestBatchedMatchesPerEdge|TestSteadyStateProcessBatchAllocs' .
-	$(GO) test -tags obsoff -run TestKernelsAllocFree ./internal/dense/
 
 # Run every fuzz target for a ~10s budget each: the stream codec, the
 # prefetch pipeline, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot

@@ -16,7 +16,7 @@
 // unreachable shard shows as DOWN without hiding the survivors.
 //
 // The -json dump bundles both probe results with the /sessions snapshot so
-// scripts (and the stat-smoke harness) need a single invocation.
+// scripts (cluster-smoke among them) need a single invocation.
 package main
 
 import (

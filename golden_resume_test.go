@@ -11,6 +11,8 @@ package streamcover
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"streamcover/internal/obs"
@@ -155,6 +157,90 @@ func TestGoldenResumeThroughTracedCheckpoint(t *testing.T) {
 			if got != want {
 				t.Fatalf("traced-resume fingerprint %#x at cut %d, want golden %#x — the trace section changed observable output",
 					got, cut, want)
+			}
+		})
+	}
+}
+
+// TestGoldenResumeThroughCheckpointFile is the on-disk kill-and-resume
+// contract. A run over the encoded golden random-order stream writes a
+// checkpoint file every E/10 edges and is killed at 3/5 of the stream with
+// no finish, as a crash between checkpoints would leave it. A fresh
+// instance with different coins restores the last durable checkpoint and
+// finishes over the rest of the file: kk, alg1 and alg2 must hit their
+// golden fingerprints, and es and a 4-copy KK ensemble, which have no
+// recorded golden, must match their own uninterrupted run.
+func TestGoldenResumeThroughCheckpointFile(t *testing.T) {
+	const n, m, opt = 300, 4000, 8
+	w := PlantedWorkload(NewRand(11), n, m, opt, 0)
+	edges := Arrange(w.Inst, RandomOrder, NewRand(23))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "golden-random.scstrm")
+	var buf bytes.Buffer
+	if err := EncodeStream(&buf, StreamHeader{N: n, M: m, E: len(edges)}, edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func(t *testing.T) Stream {
+		fs, err := OpenStreamFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Close() })
+		return fs
+	}
+	mk := func(alg string, seed uint64) Algorithm {
+		switch alg {
+		case "es":
+			return NewElementSampling(n, m, 8, NewRand(seed))
+		case "kk-ensemble":
+			copies := make([]Algorithm, 4)
+			for i := range copies {
+				copies[i] = NewKK(n, m, NewRand(seed+uint64(i)))
+			}
+			return NewEnsemble(copies...)
+		default:
+			return goldenAlg(alg, n, m, len(edges), seed)
+		}
+	}
+
+	every, kill := len(edges)/10, len(edges)*3/5
+	for _, alg := range []string{"kk", "alg1", "alg2", "es", "kk-ensemble"} {
+		t.Run(alg, func(t *testing.T) {
+			want, ok := goldenExpected[fmt.Sprintf("%s/%s", alg, RandomOrder)]
+			if !ok {
+				ref := Run(mk(alg, 42), open(t))
+				if ref.Err != nil {
+					t.Fatalf("uninterrupted run: %v", ref.Err)
+				}
+				want = goldenFingerprint(ref)
+			}
+
+			ck := filepath.Join(dir, alg+".ckpt")
+			pos, err := stream.DrivePartial(mk(alg, 42), open(t), CheckpointPolicy{Every: every, Path: ck}, kill)
+			if err != nil {
+				t.Fatalf("killed run: %v", err)
+			}
+			if pos != kill {
+				t.Fatalf("killed run stopped at %d, want %d", pos, kill)
+			}
+
+			resumed := mk(alg, 987654321)
+			from, err := ReadCheckpointFile(ck, resumed)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if durable := kill / every * every; from != durable {
+				t.Fatalf("checkpoint at edge %d, want the last durable %d", from, durable)
+			}
+			res, err := RunCheckpointedFrom(resumed, open(t), CheckpointPolicy{}, from)
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			if got := goldenFingerprint(res); got != want {
+				t.Fatalf("fingerprint %#x after resuming from the checkpoint file at %d, want %#x", got, from, want)
 			}
 		})
 	}

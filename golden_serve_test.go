@@ -33,6 +33,14 @@ func newGoldenServeHarness(t *testing.T, st ServeCheckpointStore) *goldenServeHa
 	for _, order := range []Order{SetMajor, RoundRobin, RandomOrder} {
 		h.edges[order] = Arrange(w.Inst, order, NewRand(23))
 	}
+	h.srv = startGoldenServer(t, st)
+	return h
+}
+
+// startGoldenServer serves st on a loopback port until the test ends. A
+// server the test already shut down is shut down again, which is a no-op.
+func startGoldenServer(t *testing.T, st ServeCheckpointStore) *ServeServer {
+	t.Helper()
 	srv, err := NewServeServer(ServeServerConfig{Addr: "127.0.0.1:0", Store: st})
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +60,7 @@ func newGoldenServeHarness(t *testing.T, st ServeCheckpointStore) *goldenServeHa
 			t.Errorf("serve: %v", err)
 		}
 	})
-	h.srv = srv
-	return h
+	return srv
 }
 
 // config mirrors goldenCase's constructor seeds exactly: algorithm seed 42,
@@ -89,24 +96,33 @@ func (h *goldenServeHarness) waitDetached(t *testing.T) {
 }
 
 // goldenStoreBackends enumerates the checkpoint stores the resume sweep
-// runs against.
+// runs against. open returns a reopen function: each call yields a store
+// over the same checkpoints, as a restarted server would find them — a
+// fresh FileStore on the same directory, or the same MemStore instance
+// (memory only survives a restart inside one process).
 func goldenStoreBackends(t *testing.T) []struct {
 	name string
-	open func(t *testing.T) ServeCheckpointStore
+	open func(t *testing.T) func() ServeCheckpointStore
 } {
 	t.Helper()
 	return []struct {
 		name string
-		open func(t *testing.T) ServeCheckpointStore
+		open func(t *testing.T) func() ServeCheckpointStore
 	}{
-		{"dir", func(t *testing.T) ServeCheckpointStore {
-			st, err := NewServeFileStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
+		{"dir", func(t *testing.T) func() ServeCheckpointStore {
+			dir := t.TempDir()
+			return func() ServeCheckpointStore {
+				st, err := NewServeFileStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
 			}
-			return st
 		}},
-		{"mem", func(t *testing.T) ServeCheckpointStore { return NewServeMemStore() }},
+		{"mem", func(t *testing.T) func() ServeCheckpointStore {
+			st := NewServeMemStore()
+			return func() ServeCheckpointStore { return st }
+		}},
 	}
 }
 
@@ -351,14 +367,17 @@ func TestGoldenOutputsThroughServer(t *testing.T) {
 // with no warning and resumes; the final output must still match the
 // golden fingerprints of an uninterrupted local run, and the session's
 // trace ID — minted at the original hello, recovered from the checkpoint —
-// must survive the kill unchanged. The sweep runs once per checkpoint
+// must survive the kill unchanged. A drain-restart leg then shuts the
+// server down with sessions attached, as SIGTERM does, and resumes them on
+// a new server over the same store. The sweep runs once per checkpoint
 // store backend: the checkpoint bytes round-trip through each store and
 // must reproduce the goldens either way.
 func TestGoldenOutputsThroughServerResume(t *testing.T) {
 	for _, backend := range goldenStoreBackends(t) {
 		backend := backend
 		t.Run(backend.name, func(t *testing.T) {
-			h := newGoldenServeHarness(t, backend.open(t))
+			reopen := backend.open(t)
+			h := newGoldenServeHarness(t, reopen())
 			for _, alg := range []string{"kk", "alg1", "alg2"} {
 				alg := alg
 				order := RandomOrder
@@ -406,6 +425,55 @@ func TestGoldenOutputsThroughServerResume(t *testing.T) {
 					}
 				})
 			}
+
+			// Drain-restart: feed 3/5 of each algorithm's stream and flush so
+			// the server has consumed exactly that much, then shut it down
+			// with every session attached. Shutdown must checkpoint each one
+			// at its flushed position for the new server to resume.
+			t.Run("drain-restart", func(t *testing.T) {
+				order := RandomOrder
+				edges := h.edges[order]
+				kill := len(edges) * 3 / 5
+				fd := ServeFeeder{Edges: edges, Batch: 1024}
+				algs := []string{"kk", "alg1", "alg2"}
+				for _, alg := range algs {
+					c := h.dial(t)
+					if _, err := c.Hello("restart-"+alg, h.config(alg, order)); err != nil {
+						t.Fatal(err)
+					}
+					if err := fd.RunUntil(c, kill); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := c.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				if err := h.srv.Shutdown(ctx); err != nil {
+					t.Fatal(err)
+				}
+
+				h.srv = startGoldenServer(t, reopen())
+				for _, alg := range algs {
+					key := fmt.Sprintf("%s/%s", alg, order)
+					c := h.dial(t)
+					pos, err := c.Resume("restart-"+alg, h.config(alg, order))
+					if err != nil {
+						t.Fatalf("%s: resume after restart: %v", alg, err)
+					}
+					if pos != kill {
+						t.Fatalf("%s: resumed at %d after a flushed drain, want %d", alg, pos, kill)
+					}
+					res, err := fd.Run(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := res.Fingerprint(), goldenExpected[key]; got != want {
+						t.Fatalf("%s: fingerprint %#x after drain-restart, want golden %#x", alg, got, want)
+					}
+				}
+			})
 		})
 	}
 }

@@ -75,8 +75,8 @@ func StartObs(o ObsOptions) (*ObsSession, error) {
 		s.ln = ln
 		s.srv = &http.Server{Handler: hub.Handler()}
 		go func() { _ = s.srv.Serve(ln) }()
-		// The resolved address goes to stderr so tools (and the obs-smoke
-		// harness) can find an ephemeral port without parsing flags.
+		// The resolved address goes to stderr so scripts (cluster-smoke
+		// among them) can find an ephemeral port without parsing flags.
 		fmt.Fprintf(os.Stderr, "obs: serving metrics on http://%s/metrics\n", ln.Addr())
 	}
 	return s, nil

@@ -136,9 +136,12 @@ func TestSweepDefaults(t *testing.T) {
 func TestSweepWorkersByteIdentical(t *testing.T) {
 	// The scheduler determinism contract: every -workers value produces the
 	// same bytes, in table and CSV form, because per-rep seeds derive from
-	// grid coordinates alone.
+	// grid coordinates alone. The grid spans every snapshottable streaming
+	// algorithm plus the store-all baseline, and an adversarial order.
 	for _, csv := range []bool{false, true} {
 		base := smallSweep()
+		base.Algos = []string{"kk", "alg1", "alg2", "es", "storeall"}
+		base.Orders = []string{"random", "round-robin", "high-degree-last"}
 		base.CSV = csv
 		base.Workers = 1
 		var want bytes.Buffer

@@ -71,5 +71,6 @@
 // that position, an interrupted-and-resumed session produces a cover,
 // certificate, space report and decision-event stream identical to an
 // uninterrupted run — pinned against the repository's golden fingerprints
-// in the serve tests and by `make serve-smoke`.
+// across kills, drain-and-restart and cross-shard adoption by the root
+// package's golden serve tests.
 package serve

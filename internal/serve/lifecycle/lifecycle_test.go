@@ -299,6 +299,9 @@ func TestLifecycleResumeMintMarker(t *testing.T) {
 // a different manager counts as an adoption exactly once; a local
 // detach/resume cycle on the same token afterwards does not.
 func TestLifecycleAdoptionMetrics(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("obsoff compiles out the adoption counter")
+	}
 	cfg := testConfig()
 	edges := testEdges(cfg)
 	st := store.NewMemStore()
@@ -365,6 +368,9 @@ func TestLifecycleMintSkipsActiveTokens(t *testing.T) {
 // size comes from the store's Put return, not a filesystem re-stat, and it
 // must equal the blob the store actually holds.
 func TestLifecycleDetachBytesMatchStore(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("obsoff compiles out the store byte counter")
+	}
 	cfg := testConfig()
 	hub := obs.NewHub(1)
 	so := hub.Serve()

@@ -22,8 +22,8 @@ type Result struct {
 // FNV-64a hash — chosen sets, full certificate, edge count and both space
 // meters — using exactly the scheme of the repository's golden regression
 // fixtures. Two runs with equal fingerprints produced byte-identical
-// output, which is how the kill-and-reconnect smoke test and the serve
-// golden tests compare a resumed session against an uninterrupted one.
+// output, which is how the serve tests and the golden serve tests compare
+// a resumed session against an uninterrupted one.
 func (r Result) Fingerprint() uint64 {
 	h := fnv.New64a()
 	write := func(v int64) {

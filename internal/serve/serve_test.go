@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -31,6 +32,26 @@ func testEdges(t testing.TB) []stream.Edge {
 
 func testConfig(edges []stream.Edge) Config {
 	return Config{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed}
+}
+
+// testConfigs is one session shape per registered streaming algorithm plus
+// a KK ensemble; the equivalence tests run every one.
+func testConfigs(edges []stream.Edge) []Config {
+	return []Config{
+		{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed},
+		{Algo: "alg1", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed},
+		{Algo: "alg2", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Alpha: 22},
+		{Algo: "es", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Alpha: 6},
+		{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Copies: 3},
+	}
+}
+
+// configName names a testConfigs entry for its subtest.
+func configName(cfg Config) string {
+	if cfg.Copies > 1 {
+		return cfg.Algo + "-ensemble"
+	}
+	return cfg.Algo
 }
 
 // startServer runs a server on a loopback port, shut down at test end.
@@ -91,18 +112,8 @@ func waitIdle(t testing.TB, srv *Server) {
 // locally.
 func TestServeMatchesLocalRun(t *testing.T) {
 	edges := testEdges(t)
-	for _, cfg := range []Config{
-		{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed},
-		{Algo: "alg1", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed},
-		{Algo: "alg2", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Alpha: 22},
-		{Algo: "es", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Alpha: 6},
-		{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Copies: 3},
-	} {
-		name := cfg.Algo
-		if cfg.Copies > 1 {
-			name += "-ensemble"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, cfg := range testConfigs(edges) {
+		t.Run(configName(cfg), func(t *testing.T) {
 			alg, err := Build(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -152,46 +163,59 @@ func TestServeFlushReportsProgress(t *testing.T) {
 	}
 }
 
+// TestServeDetachAndResume parks every session shape mid-stream and
+// resumes it, once with a detach frame and once by dropping the connection
+// with no detach frame (a crashed client). Either way the resumed session
+// must finish byte-identical to an uninterrupted local run.
 func TestServeDetachAndResume(t *testing.T) {
 	edges := testEdges(t)
-	cfg := testConfig(edges)
 	srv := startServer(t, ServerConfig{})
-
-	ref := localReference(t, cfg, edges)
-
-	c := dialT(t, srv)
-	if _, err := c.Hello("par", cfg); err != nil {
-		t.Fatal(err)
-	}
-	fd := Feeder{Edges: edges, Batch: 512}
 	const stop = 3000
-	if err := fd.RunUntil(c, stop); err != nil {
-		t.Fatal(err)
-	}
-	pos, err := c.Detach()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pos != stop {
-		t.Fatalf("detached at %d, want %d", pos, stop)
-	}
-	c.Close()
-	waitIdle(t, srv)
+	for _, cfg := range testConfigs(edges) {
+		for _, drop := range []bool{false, true} {
+			token := configName(cfg) + "-detach-frame"
+			if drop {
+				token = configName(cfg) + "-dropped"
+			}
+			t.Run(token, func(t *testing.T) {
+				ref := localReference(t, cfg, edges)
+				c := dialT(t, srv)
+				if _, err := c.Hello(token, cfg); err != nil {
+					t.Fatal(err)
+				}
+				fd := Feeder{Edges: edges, Batch: 512}
+				if err := fd.RunUntil(c, stop); err != nil {
+					t.Fatal(err)
+				}
+				if !drop {
+					pos, err := c.Detach()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pos != stop {
+						t.Fatalf("detached at %d, want %d", pos, stop)
+					}
+				}
+				c.Close()
+				waitIdle(t, srv)
 
-	c2 := dialT(t, srv)
-	got, err := c2.Resume("par", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != stop {
-		t.Fatalf("resumed at %d, want %d", got, stop)
-	}
-	res, err := fd.Run(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fingerprint() != ref.Fingerprint() {
-		t.Fatalf("resumed fingerprint %#x, want uninterrupted %#x", res.Fingerprint(), ref.Fingerprint())
+				c2 := dialT(t, srv)
+				got, err := c2.Resume(token, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got <= 0 || got > stop || (!drop && got != stop) {
+					t.Fatalf("resumed at %d, want %d (or within (0, %d] after a drop)", got, stop, stop)
+				}
+				res, err := fd.Run(c2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Fingerprint() != ref.Fingerprint() {
+					t.Fatalf("resumed fingerprint %#x, want uninterrupted %#x", res.Fingerprint(), ref.Fingerprint())
+				}
+			})
+		}
 	}
 }
 
@@ -199,7 +223,8 @@ func TestServeDetachAndResume(t *testing.T) {
 // handshake: a client-minted trace is adopted and echoed; the trace is
 // stamped into the detach checkpoint and wins on resume, even when the
 // resuming client proposes a different one; and a zero client trace makes
-// the server mint a non-zero identity.
+// the server mint a non-zero identity. The wide-event log must tell the
+// whole story, including a dropped connection and the server's drain.
 func TestServeTraceIdentity(t *testing.T) {
 	edges := testEdges(t)
 	cfg := testConfig(edges)
@@ -255,6 +280,23 @@ func TestServeTraceIdentity(t *testing.T) {
 	}
 	waitIdle(t, srv)
 
+	// Drop a session mid-stream with no detach frame, then drain the
+	// server: the log must name both the disconnect and the drain.
+	c4 := dialT(t, srv)
+	if _, err := c4.Hello("dropped", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.RunUntil(c4, 2048); err != nil {
+		t.Fatal(err)
+	}
+	c4.Close()
+	waitIdle(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
 	if obs.Enabled {
 		// The telemetry table kept ONE row for the detach/resume pair (same
 		// trace rebinds the slot) and the wide-event log tells the story.
@@ -275,9 +317,17 @@ func TestServeTraceIdentity(t *testing.T) {
 			`"event":"session_open"`, `"event":"session_detach"`, `"cause":"detach-frame"`,
 			`"event":"session_resume"`, `"event":"session_finish"`,
 			`"trace":"` + minted.String() + `"`,
+			`"cause":"disconnect"`, `"event":"server_drain"`,
 		} {
 			if !strings.Contains(log, want) {
 				t.Errorf("wide-event log missing %s:\n%s", want, log)
+			}
+		}
+		// Each line is one self-describing JSON object.
+		for i, line := range strings.Split(strings.TrimSpace(log), "\n") {
+			var v map[string]any
+			if err := json.Unmarshal([]byte(line), &v); err != nil {
+				t.Errorf("wide-event line %d is not standalone JSON: %v\n%s", i+1, err, line)
 			}
 		}
 	}
@@ -696,13 +746,15 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestServeConcurrentSessionsRace runs many simultaneous sessions — plain
-// and ensemble — through one server under the race detector. Every session
-// with the same seed must produce the same bytes.
+// TestServeConcurrentSessionsRace runs many simultaneous ensemble sessions
+// through one server under the race detector: twice as many sessions as
+// the lifecycle manager has lock stripes, every other one on a
+// server-minted token, so opens, mints and finishes cross every stripe at
+// once. Every session with the same seed must produce the same bytes.
 func TestServeConcurrentSessionsRace(t *testing.T) {
 	edges := testEdges(t)
 	srv := startServer(t, ServerConfig{})
-	const sessions = 16
+	const sessions = 64 // 2 × lifecycle's 32 lock stripes
 	cfg := Config{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Copies: 4}
 	want := localReference(t, cfg, edges).Fingerprint()
 
@@ -720,7 +772,11 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 			}
 			defer c.Close()
 			c.Timeout = 60 * time.Second
-			if _, err := c.Hello(fmt.Sprintf("race-%d", i), cfg); err != nil {
+			token := "" // odd sessions let the server mint
+			if i%2 == 0 {
+				token = fmt.Sprintf("race-%d", i)
+			}
+			if _, err := c.Hello(token, cfg); err != nil {
 				errs[i] = err
 				return
 			}

@@ -71,12 +71,13 @@ func TestGreedyLowestIndexTieBreak(t *testing.T) {
 }
 
 // Property: ExactWorkers returns a byte-identical optimal cover for every
-// worker count 1..8 on random small instances.
+// worker count 1..8 on random small instances, and on one wider instance
+// (22 elements, 40 sets) whose branch-and-bound tree is deep enough for the
+// workers to split it many ways.
 func TestParallelExactMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(303, 404))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.IntN(20) + 4
-		m := rng.IntN(16) + 3
+	check := func(n, m int) {
+		t.Helper()
 		inst := randomFeasibleInstance(rng, n, m)
 		seq, err := Exact(inst)
 		if err != nil {
@@ -88,14 +89,18 @@ func TestParallelExactMatchesSequential(t *testing.T) {
 		for w := 1; w <= 8; w++ {
 			par, err := ExactWorkers(inst, w)
 			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, w, err)
+				t.Fatalf("n=%d m=%d workers %d: %v", n, m, w, err)
 			}
 			coversEqual(t, "exact", seq, par)
 			if par.Size() != seq.Size() {
-				t.Fatalf("workers=%d: cost %d want %d", w, par.Size(), seq.Size())
+				t.Fatalf("n=%d m=%d workers=%d: cost %d want %d", n, m, w, par.Size(), seq.Size())
 			}
 		}
 	}
+	for trial := 0; trial < 30; trial++ {
+		check(rng.IntN(20)+4, rng.IntN(16)+3)
+	}
+	check(22, 40)
 }
 
 // Stress the shared atomic incumbent bound under the race detector: many

@@ -1,27 +1,33 @@
-// Command clustersmoke is the `make cluster-smoke` harness: the sharded
-// serving tier exercised as real processes over real TCP, with real kills.
+// Command clustersmoke is the `make cluster-smoke` harness and the
+// repository's one multi-process check: the sharded serving tier run as
+// real scrouter, scserve, scfeed and scstat processes over real TCP, with
+// real signals. It builds those binaries three times — default, -race and
+// -tags obsoff — and runs two legs against each build:
 //
 //  1. Golden leg: a store-only scrouter (shared SCSTOR1 store), one
 //     scserve shard, a routing scrouter, and `scfeed -cluster` driving 64
 //     sessions to completion undisturbed. The sorted token/fingerprint
-//     file it writes is the golden.
+//     file it writes is the golden. `scstat -json` against the live shard
+//     must then report it healthy and ready with 64 finished sessions,
+//     each counting the whole stream (and no rows under obsoff, which
+//     compiles the session table out). Finally the shard is SIGTERMed:
+//     during its -obs-hold window /readyz must answer 503 while /healthz
+//     stays 200. That flip lives in scserve's signal path, which no
+//     in-process test reaches.
 //  2. Chaos leg: the same store-first bring-up with three shards, and
 //     `scfeed -cluster` with a -kill schedule that SIGTERMs two shards
 //     mid-stream. Severed sessions resume through the router and are
-//     adopted by survivors from the shared store.
-//  3. The two fingerprint files must be byte-identical — kills, failover
-//     and adoption must not perturb one byte of observable output.
-//  4. `scstat -fleet -json` over the shard obs addresses must report the
-//     killed shards down and the survivor healthy — the fleet view stays
-//     usable mid-incident.
+//     adopted by survivors from the shared store. `scstat -fleet -json`
+//     must then report the killed shards down and the survivor healthy.
 //
-// Pass -race to build every binary with the race detector.
+// The two fingerprint files must be byte-identical: kills, failover and
+// adoption must not perturb one byte of observable output. Run it from the
+// repository root; it takes no flags.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -29,23 +35,40 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
+	"syscall"
 	"time"
 
+	"streamcover/internal/obs"
 	"streamcover/internal/stream"
+	"streamcover/internal/workload"
+	"streamcover/internal/xrand"
 )
 
 func main() {
-	race := flag.Bool("race", false, "build the binaries with -race")
-	sessions := flag.Int("sessions", 64, "concurrent sessions per leg")
-	flag.Parse()
-	if err := run(*race, *sessions); err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "cluster-smoke: FAIL: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Println("cluster-smoke: PASS")
 }
 
-const opTimeout = 120 * time.Second
+const (
+	sessions  = 64
+	opTimeout = 120 * time.Second
+)
+
+// builds are the binary flavours every leg runs against. obs marks the
+// builds whose session table is compiled in.
+var builds = []struct {
+	name  string
+	flags []string
+	obs   bool
+}{
+	{"default", nil, true},
+	{"race", []string{"-race"}, true},
+	{"obsoff", []string{"-tags", "obsoff"}, false},
+}
 
 var (
 	storeRe  = regexp.MustCompile(`scrouter: shared store on (\S+)`)
@@ -56,85 +79,78 @@ var (
 	resumeRe = regexp.MustCompile(`resumes=(\d+)`)
 )
 
-func run(race bool, sessions int) error {
+func run() error {
 	dir, err := os.MkdirTemp("", "clustersmoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 
-	bins := map[string]string{}
-	for _, b := range []struct{ name, pkg string }{
-		{"scgen", "./cmd/scgen"},
-		{"scserve", "./cmd/scserve"},
-		{"scrouter", "./cmd/scrouter"},
-		{"scfeed", "./cmd/scfeed"},
-		{"scstat", "./cmd/scstat"},
-	} {
-		out := filepath.Join(dir, b.name)
-		args := []string{"build", "-o", out}
-		if race {
-			args = append(args, "-race")
-		}
-		cmd := exec.Command("go", append(args, b.pkg)...)
-		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("build %s: %w", b.name, err)
-		}
-		bins[b.name] = out
+	// One planted stream for every build and leg.
+	w := workload.Planted(xrand.New(1), 300, 4000, 8, 0)
+	edges := stream.Arrange(w.Inst, stream.Random, xrand.New(2))
+	var buf bytes.Buffer
+	if err := stream.Encode(&buf, stream.Header{N: 300, M: 4000, E: len(edges)}, edges); err != nil {
+		return err
 	}
-
 	streamFile := filepath.Join(dir, "stream.scs")
-	gen := exec.Command(bins["scgen"], "-workload", "planted", "-n", "300", "-m", "4000",
-		"-opt", "8", "-order", "random", "-seed", "1", "-out", streamFile)
-	gen.Stdout, gen.Stderr = os.Stdout, os.Stderr
-	if err := gen.Run(); err != nil {
-		return fmt.Errorf("scgen: %w", err)
-	}
-	// The kill schedule is expressed in aggregate edges sent across every
-	// session, so it needs the per-session stream length.
-	f, err := os.Open(streamFile)
-	if err != nil {
+	if err := os.WriteFile(streamFile, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	hdr, _, err := stream.Decode(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("decoding %s: %w", streamFile, err)
-	}
-	aggregate := int64(hdr.E) * int64(sessions)
 
-	goldenFile := filepath.Join(dir, "golden.txt")
-	if err := leg(bins, streamFile, goldenFile, sessions, 1, 0, aggregate); err != nil {
-		return fmt.Errorf("golden leg: %w", err)
-	}
-	fmt.Printf("cluster-smoke: golden leg ok (%d sessions, 1 shard, no kills)\n", sessions)
+	for _, b := range builds {
+		bdir := filepath.Join(dir, b.name)
+		bins := map[string]string{}
+		for _, name := range []string{"scserve", "scrouter", "scfeed", "scstat"} {
+			bins[name] = filepath.Join(bdir, name)
+			args := append([]string{"build", "-o", bins[name]}, b.flags...)
+			cmd := exec.Command("go", append(args, "./cmd/"+name)...)
+			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+			if err := cmd.Run(); err != nil {
+				return fmt.Errorf("%s build of %s: %w", b.name, name, err)
+			}
+		}
+		l := leg{bins: bins, streamFile: streamFile, streamLen: len(edges), obs: b.obs}
 
-	chaosFile := filepath.Join(dir, "chaos.txt")
-	if err := leg(bins, streamFile, chaosFile, sessions, 3, 2, aggregate); err != nil {
-		return fmt.Errorf("chaos leg: %w", err)
-	}
-	fmt.Printf("cluster-smoke: chaos leg ok (%d sessions, 3 shards, 2 mid-stream kills)\n", sessions)
+		goldenFile := filepath.Join(bdir, "golden.txt")
+		if err := l.run(goldenFile, 1, 0); err != nil {
+			return fmt.Errorf("%s build: golden leg: %w", b.name, err)
+		}
+		fmt.Printf("cluster-smoke[%s]: golden leg ok (%d sessions, 1 shard, scstat rows, readiness flip)\n", b.name, sessions)
+		chaosFile := filepath.Join(bdir, "chaos.txt")
+		if err := l.run(chaosFile, 3, 2); err != nil {
+			return fmt.Errorf("%s build: chaos leg: %w", b.name, err)
+		}
+		fmt.Printf("cluster-smoke[%s]: chaos leg ok (%d sessions, 3 shards, 2 mid-stream kills)\n", b.name, sessions)
 
-	golden, err := os.ReadFile(goldenFile)
-	if err != nil {
-		return err
+		golden, err := os.ReadFile(goldenFile)
+		if err != nil {
+			return err
+		}
+		chaos, err := os.ReadFile(chaosFile)
+		if err != nil {
+			return err
+		}
+		if len(golden) == 0 {
+			return fmt.Errorf("%s build: golden fingerprint file is empty", b.name)
+		}
+		if !bytes.Equal(golden, chaos) {
+			return fmt.Errorf("%s build: chaos fingerprints differ from golden — kills changed observable output\n--- golden ---\n%s--- chaos ---\n%s", b.name, golden, chaos)
+		}
+		fmt.Printf("cluster-smoke[%s]: %d fingerprints byte-identical across golden and chaos runs\n", b.name, sessions)
 	}
-	chaos, err := os.ReadFile(chaosFile)
-	if err != nil {
-		return err
-	}
-	if len(golden) == 0 {
-		return fmt.Errorf("golden fingerprint file is empty")
-	}
-	if !bytes.Equal(golden, chaos) {
-		return fmt.Errorf("chaos fingerprints differ from golden — kills changed observable output\n--- golden ---\n%s--- chaos ---\n%s", golden, chaos)
-	}
-	fmt.Printf("cluster-smoke: %d fingerprints byte-identical across golden and chaos runs\n", sessions)
 	return nil
 }
 
-// proc is one managed child process with its parsed banner addresses.
+// leg is one build's binaries and the shared stream they are fed.
+type leg struct {
+	bins       map[string]string
+	streamFile string
+	streamLen  int
+	obs        bool
+}
+
+// proc is one managed child process.
 type proc struct {
 	cmd    *exec.Cmd
 	stdout io.Reader
@@ -170,12 +186,13 @@ func (p *proc) kill() {
 	_ = p.cmd.Wait()
 }
 
-// leg brings up one cluster (store, shards, router), drives it with
-// scfeed -cluster, and — when kills > 0 — SIGTERMs that many shards
-// mid-stream and checks the fleet view afterwards.
-func leg(bins map[string]string, streamFile, fpFile string, sessions, shards, kills int, aggregate int64) error {
+// run brings up one cluster (store, shards, router) and drives it with
+// scfeed -cluster into fpFile. With kills > 0 it SIGTERMs that many shards
+// mid-stream and checks the fleet view; with none it checks the lone
+// shard's session table and its readiness flip on SIGTERM.
+func (l leg) run(fpFile string, shards, kills int) error {
 	// 1. Store-only scrouter: the shared checkpoint store comes up first.
-	storeProc, err := start(bins["scrouter"], "-store-listen", "127.0.0.1:0", "-store-backend", "mem")
+	storeProc, err := start(l.bins["scrouter"], "-store-listen", "127.0.0.1:0", "-store-backend", "mem")
 	if err != nil {
 		return err
 	}
@@ -187,16 +204,21 @@ func leg(bins map[string]string, streamFile, fpFile string, sessions, shards, ki
 	storeProc.drain()
 
 	// 2. Shards: each binds :0 and reports its address; all share the store.
+	// The golden leg's shard holds its obs server open after a SIGTERM so
+	// the not-ready window is observable; the chaos leg's victims must go
+	// down for the fleet view.
 	shardProcs := make([]*proc, shards)
 	shardAddrs := make([]string, shards)
 	obsAddrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
+	for i := range shardProcs {
 		name := fmt.Sprintf("shard%d", i+1)
-		p, err := start(bins["scserve"],
-			"-listen", "127.0.0.1:0",
+		args := []string{"-listen", "127.0.0.1:0",
 			"-store", "cluster", "-store-addr", storeAddr,
-			"-shard", name,
-			"-obs-listen", "127.0.0.1:0")
+			"-shard", name, "-obs-listen", "127.0.0.1:0"}
+		if kills == 0 {
+			args = append(args, "-obs-hold", opTimeout.String())
+		}
+		p, err := start(l.bins["scserve"], args...)
 		if err != nil {
 			return err
 		}
@@ -212,9 +234,9 @@ func leg(bins map[string]string, streamFile, fpFile string, sessions, shards, ki
 	}
 
 	// 3. Routing scrouter over the resolved shard addresses.
-	routerProc, err := start(bins["scrouter"],
+	routerProc, err := start(l.bins["scrouter"],
 		"-listen", "127.0.0.1:0",
-		"-shards", joinComma(shardAddrs),
+		"-shards", strings.Join(shardAddrs, ","),
 		"-down-cooldown", "250ms")
 	if err != nil {
 		return err
@@ -231,67 +253,118 @@ func leg(bins map[string]string, streamFile, fpFile string, sessions, shards, ki
 	// construction, early enough that adopted sessions still have most of
 	// their edges ahead of them.
 	feedArgs := []string{
-		"-cluster", "-addr", routerAddr, "-in", streamFile,
+		"-cluster", "-addr", routerAddr, "-in", l.streamFile,
 		"-algo", "kk", "-seed", "7",
 		"-sessions", strconv.Itoa(sessions),
 		"-fingerprints", fpFile,
 	}
 	if kills > 0 {
-		if kills >= len(shardProcs) {
-			return fmt.Errorf("cannot kill %d of %d shards and keep a survivor", kills, len(shardProcs))
-		}
-		spec := ""
+		aggregate := int64(l.streamLen) * sessions
+		var spec []string
 		for k := 0; k < kills; k++ {
 			at := aggregate * int64(20+25*k) / 100
 			victim := shardProcs[len(shardProcs)-1-k]
-			if spec != "" {
-				spec += ","
-			}
-			spec += fmt.Sprintf("%d:%d", at, victim.cmd.Process.Pid)
+			spec = append(spec, fmt.Sprintf("%d:%d", at, victim.cmd.Process.Pid))
 		}
-		feedArgs = append(feedArgs, "-kill", spec)
+		feedArgs = append(feedArgs, "-kill", strings.Join(spec, ","))
 	}
-	feed := exec.Command(bins["scfeed"], feedArgs...)
-	out, err := feed.CombinedOutput()
+	out, err := exec.Command(l.bins["scfeed"], feedArgs...).CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("scfeed -cluster: %v\n%s", err, clip(string(out)))
 	}
-	if kills > 0 {
-		km := killsRe.FindSubmatch(out)
-		if km == nil || string(km[1]) != strconv.Itoa(kills) {
-			return fmt.Errorf("expected kills=%d in scfeed summary:\n%s", kills, clip(string(out)))
-		}
-		rm := resumeRe.FindSubmatch(out)
-		if rm == nil {
-			return fmt.Errorf("no resumes= tally in scfeed summary:\n%s", clip(string(out)))
-		}
-		if n, _ := strconv.Atoi(string(rm[1])); n == 0 {
-			return fmt.Errorf("chaos leg finished with zero resumes — the kills missed every session:\n%s", clip(string(out)))
-		}
+	if kills == 0 {
+		return l.checkShard(shardProcs[0], obsAddrs[0])
+	}
+	km := killsRe.FindSubmatch(out)
+	if km == nil || string(km[1]) != strconv.Itoa(kills) {
+		return fmt.Errorf("expected kills=%d in scfeed summary:\n%s", kills, clip(string(out)))
+	}
+	rm := resumeRe.FindSubmatch(out)
+	if rm == nil {
+		return fmt.Errorf("no resumes= tally in scfeed summary:\n%s", clip(string(out)))
+	}
+	if n, _ := strconv.Atoi(string(rm[1])); n == 0 {
+		return fmt.Errorf("chaos leg finished with zero resumes — the kills missed every session:\n%s", clip(string(out)))
+	}
+	return checkFleet(l.bins["scstat"], obsAddrs, kills)
+}
 
-		// 5. Fleet view mid-incident: the killed shards report down, the
-		// survivor healthy.
-		if err := checkFleet(bins["scstat"], obsAddrs, kills); err != nil {
-			return err
-		}
+// status mirrors one shard's entry in scstat's -json output.
+type status struct {
+	Healthy  bool                 `json:"healthy"`
+	Ready    bool                 `json:"ready"`
+	Sessions obs.SessionsSnapshot `json:"sessions"`
+	Err      string               `json:"err"`
+}
+
+// scstat runs scstat -json with args and decodes its output into v.
+func scstat(bin string, v any, args ...string) error {
+	out, err := exec.Command(bin, append(args, "-json")...).Output()
+	if err != nil {
+		return fmt.Errorf("scstat %v: %w", args, err)
+	}
+	if err := json.Unmarshal(out, v); err != nil {
+		return fmt.Errorf("scstat %v output: %w\n%s", args, err, out)
 	}
 	return nil
 }
 
-// checkFleet runs scstat -fleet -json over every shard's obs address and
-// asserts the kill count is reflected: that many members unreachable, the
-// rest healthy.
-func checkFleet(scstat string, obsAddrs []string, kills int) error {
-	out, err := exec.Command(scstat, "-fleet", "-addr", joinComma(obsAddrs), "-json").Output()
-	if err != nil {
-		return fmt.Errorf("scstat -fleet: %w", err)
+// checkShard asserts the golden leg's lone shard after its sessions
+// finished: healthy and ready, one finished row per session counting the
+// whole stream (none under obsoff), then /readyz down and /healthz up
+// through the SIGTERM drain.
+func (l leg) checkShard(shard *proc, obsAddr string) error {
+	var st status
+	if err := scstat(l.bins["scstat"], &st, "-addr", obsAddr); err != nil {
+		return err
 	}
-	var sts []struct {
-		Healthy bool   `json:"healthy"`
-		Err     string `json:"err"`
+	if !st.Healthy || !st.Ready {
+		return fmt.Errorf("scstat before drain: healthy=%v ready=%v, want both true", st.Healthy, st.Ready)
 	}
-	if err := json.Unmarshal(out, &sts); err != nil {
-		return fmt.Errorf("scstat -fleet output: %w\n%s", err, out)
+	rows := st.Sessions.Sessions
+	if !l.obs {
+		if len(rows) != 0 {
+			return fmt.Errorf("obsoff build still populates /sessions: %+v", rows)
+		}
+	} else {
+		if len(rows) != sessions {
+			return fmt.Errorf("/sessions has %d rows, want %d", len(rows), sessions)
+		}
+		for _, r := range rows {
+			if r.State != "finished" || r.Edges != int64(l.streamLen) {
+				return fmt.Errorf("session row %s: state=%s edges=%d, want finished with %d edges", r.Token, r.State, r.Edges, l.streamLen)
+			}
+		}
+	}
+
+	if err := shard.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return fmt.Errorf("SIGTERM: %w", err)
+	}
+	deadline := time.Now().Add(opTimeout)
+	for {
+		st = status{}
+		err := scstat(l.bins["scstat"], &st, "-addr", obsAddr)
+		if err == nil && !st.Ready {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("/readyz never flipped after SIGTERM (last: healthy=%v ready=%v err=%v)", st.Healthy, st.Ready, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	if !st.Healthy {
+		return fmt.Errorf("draining shard should stay live (healthy), got healthy=false")
+	}
+	return nil
+}
+
+// checkFleet runs scstat -fleet over every shard's obs address and asserts
+// the kill count is reflected: that many members unreachable, the rest
+// healthy.
+func checkFleet(bin string, obsAddrs []string, kills int) error {
+	var sts []status
+	if err := scstat(bin, &sts, "-fleet", "-addr", strings.Join(obsAddrs, ",")); err != nil {
+		return err
 	}
 	if len(sts) != len(obsAddrs) {
 		return fmt.Errorf("fleet view has %d members, want %d", len(sts), len(obsAddrs))
@@ -305,21 +378,10 @@ func checkFleet(scstat string, obsAddrs []string, kills int) error {
 		}
 	}
 	if down != kills || up != len(obsAddrs)-kills {
-		return fmt.Errorf("fleet view after %d kills: %d down, %d healthy (want %d down, %d healthy)\n%s",
-			kills, down, up, kills, len(obsAddrs)-kills, out)
+		return fmt.Errorf("fleet view after %d kills: %d down, %d healthy (want %d down, %d healthy)",
+			kills, down, up, kills, len(obsAddrs)-kills)
 	}
 	return nil
-}
-
-func joinComma(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ","
-		}
-		out += x
-	}
-	return out
 }
 
 // awaitBanner reads r until re matches, returning the first capture group.
