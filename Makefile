@@ -16,13 +16,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Snapshot the perf-tracked benchmarks (EndToEnd*, Scaling, Adoption) into the
-# next BENCH_<n>.json; three -count samples are folded to the per-benchmark
+# Snapshot the perf-tracked benchmarks (EndToEnd*, Scaling, Adoption, and
+# WireEdges*, the SCWIRE1 edge codec rung in internal/serve) into the next
+# BENCH_<n>.json; three -count samples are folded to the per-benchmark
 # noise floor (min ns/op, max throughput) by scbenchdiff. bench-diff compares
 # the two most recent snapshots and fails on ns/op, allocs/op or throughput
 # regression beyond the threshold.
 bench-save:
-	$(GO) test -run '^$$' -bench 'EndToEnd|Scaling|Adoption' -benchmem -count 3 . | $(GO) run ./cmd/scbenchdiff -save
+	$(GO) test -run '^$$' -bench 'EndToEnd|Scaling|Adoption|WireEdges' -benchmem -count 3 . ./internal/serve/ | $(GO) run ./cmd/scbenchdiff -save
 
 bench-diff:
 	$(GO) run ./cmd/scbenchdiff -diff

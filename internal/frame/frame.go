@@ -248,7 +248,7 @@ func (f *IO) Flush() error {
 }
 
 // AppendUvarint is binary.AppendUvarint without the per-value stack
-// spill: bulk encoders call it once per field.
+// spill: the message encoders call it once per field.
 func AppendUvarint(b []byte, v uint64) []byte {
 	for v >= 0x80 {
 		b = append(b, byte(v)|0x80)

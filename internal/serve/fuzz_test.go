@@ -5,13 +5,17 @@ package serve
 // on: malformed traffic surfaces a typed error (ErrWire, or the ErrRemote
 // family for error frames) — never a panic, never an untyped failure — and
 // anything a parser accepts survives a re-encode/re-parse round trip with
-// the same meaning. Seeds include the retired v1 handshake forms (a hello
-// without a trace field, a two-field ack), which must now fail typed.
+// the same meaning. Edges frames are held to more: the codec must agree
+// with its per-edge references (parseEdgesReference, writeEdgesReference).
+// Seeds include the retired v1 handshake forms (a hello without a trace
+// field, a two-field ack), which must now fail typed.
 
 import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 
 	"streamcover/internal/frame"
@@ -86,12 +90,21 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(fuzzFrame(f, func(fio *frame.IO) error {
 		return writeEdges(fio, []stream.Edge{{Set: 200, Elem: 150}, {Set: 12345, Elem: 4000}})
 	}))
+	// Set and element varints of 1, 2 and 3 bytes beside negative IDs,
+	// whose 10-byte varints no session shape accepts.
+	f.Add(fuzzFrame(f, func(fio *frame.IO) error {
+		return writeEdges(fio, []stream.Edge{{Set: 5, Elem: 200}, {Set: 20000, Elem: -3}, {Set: -1, Elem: 7}, {Set: 130, Elem: 16384}})
+	}))
 	maxVarints := []byte{4, 0, 0, 0, frameEdges, 2} // len, type, k=2
 	for i := 0; i < 4; i++ {
 		maxVarints = append(maxVarints, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
 	}
 	f.Add(maxVarints)
 
+	// Edge buffers for checkEdgesFrame, allocated once: inputs run one at
+	// a time in a fuzzing process, and two MaxBatch buffers per edges
+	// frame would dominate the cost of a multi-frame input.
+	dst, ref := make([]stream.Edge, MaxBatch), make([]stream.Edge, MaxBatch)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Drain every frame in the input through one frame.IO: multi-frame
 		// inputs walk the read window across refills exactly like a
@@ -105,7 +118,7 @@ func FuzzWireFrame(f *testing.F) {
 				}
 				return
 			}
-			checkFramePayload(t, payload)
+			checkFramePayload(t, payload, dst, ref)
 		}
 	})
 }
@@ -113,7 +126,7 @@ func FuzzWireFrame(f *testing.F) {
 // checkFramePayload validates one accepted frame the way the fuzz target
 // always has: parsers may reject with typed errors only, and anything
 // accepted must survive a re-encode round trip unchanged.
-func checkFramePayload(t *testing.T, payload []byte) {
+func checkFramePayload(t *testing.T, payload []byte, dst, ref []stream.Edge) {
 	t.Helper()
 	switch payload[0] {
 	case frameHello, frameResume:
@@ -164,10 +177,7 @@ func checkFramePayload(t *testing.T, payload []byte) {
 				token, pos, tr, token2, pos2, tr2, err)
 		}
 	case frameEdges:
-		dst := make([]stream.Edge, MaxBatch)
-		if _, err := parseEdgesInto(payload[1:], dst, 30, 40); err != nil && !wireTyped(err) {
-			t.Fatalf("untyped edges error: %v", err)
-		}
+		checkEdgesFrame(t, payload[1:], dst, ref)
 	case framePosAck:
 		if _, err := parsePosAck(payload[1:]); err != nil && !wireTyped(err) {
 			t.Fatalf("untyped posAck error: %v", err)
@@ -187,5 +197,52 @@ func checkFramePayload(t *testing.T, payload []byte) {
 		if err := c.Done(); err != nil && !wireTyped(err) {
 			t.Fatalf("untyped control-frame error: %v", err)
 		}
+	}
+}
+
+// checkEdgesFrame holds the edges codec to its references. parseEdgesInto
+// must agree with parseEdgesReference on acceptance, error, count and
+// edges, under the fuzz session's shape (n=30, m=40) and under the widest
+// one. A batch accepted under the fuzz shape must re-encode through
+// writeEdges to writeEdgesReference's bytes and parse back to itself. dst
+// and ref are scratch buffers of MaxBatch edges, the server's bound.
+func checkEdgesFrame(t *testing.T, body []byte, dst, ref []stream.Edge) {
+	t.Helper()
+	// The fuzz shape goes last, so dst holds its decode after the loop.
+	var k int
+	var err error
+	for _, shape := range [][2]int{{math.MaxInt64, math.MaxInt64}, {30, 40}} {
+		n, m := shape[0], shape[1]
+		k, err = parseEdgesInto(body, dst, n, m)
+		rk, rerr := parseEdgesReference(body, ref, n, m)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("n=%d m=%d: parseEdgesInto err %v, reference err %v", n, m, err, rerr)
+		}
+		if err != nil && !wireTyped(err) {
+			t.Fatalf("untyped edges error: %v", err)
+		}
+		if err == nil && (k != rk || !slices.Equal(dst[:k], ref[:rk])) {
+			t.Fatalf("n=%d m=%d: parseEdgesInto decoded %d edges, reference %d, or their edges differ", n, m, k, rk)
+		}
+	}
+	if err != nil {
+		return
+	}
+	edges := dst[:k]
+	var buf bytes.Buffer
+	fio := newFrameIO(&buf)
+	if err := writeEdges(fio, edges); err != nil {
+		t.Fatalf("re-encode of accepted edges failed: %v", err)
+	}
+	rp, err := fio.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := writeEdgesReference(edges); !bytes.Equal(rp, want) {
+		t.Fatalf("writeEdges payload %x, reference %x", rp, want)
+	}
+	k2, err := parseEdgesInto(rp[1:], ref, 30, 40)
+	if err != nil || !slices.Equal(ref[:k2], edges) {
+		t.Fatalf("edges round trip drifted: %d edges -> %d (%v)", k, k2, err)
 	}
 }

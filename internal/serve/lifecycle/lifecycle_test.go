@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,7 +123,10 @@ func TestLifecycleDetachResumeRoundTrip(t *testing.T) {
 
 // TestLifecycleSessionsRunNoGoroutines pins one goroutine per session: a
 // session applies each batch on the goroutine feeding it, so opening and
-// feeding sessions starts no goroutine of their own.
+// feeding sessions starts no goroutine of their own. While 16 sessions are
+// open, no goroutine but the test's own may run, or have been started by,
+// non-test code of this package. (Counting goroutines instead would also
+// see unrelated ones come and go, such as the runtime's finalizer.)
 func TestLifecycleSessionsRunNoGoroutines(t *testing.T) {
 	cfg := testConfig()
 	edges := testEdges(cfg)
@@ -130,15 +134,14 @@ func TestLifecycleSessionsRunNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
 	sessions := make([]*Session, 16)
 	for i := range sessions {
 		s := mustOpen(t, mgr, "", cfg)
 		s.Enqueue(copy(s.Reserve(), edges))
 		sessions[i] = s
 	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("%d goroutines with %d sessions open, %d before them", got, len(sessions), before)
+	if g := lifecycleGoroutine(); g != "" {
+		t.Fatalf("a goroutine runs this package's code with %d sessions open:\n%s", len(sessions), g)
 	}
 	for i, s := range sessions {
 		if i%2 == 0 {
@@ -152,6 +155,36 @@ func TestLifecycleSessionsRunNoGoroutines(t *testing.T) {
 	if mgr.Active() != 0 {
 		t.Fatalf("Active = %d after retiring every session", mgr.Active())
 	}
+}
+
+// lifecycleGoroutine returns the stack of a goroutine other than the
+// caller's that has a frame in a non-test function of this package, or was
+// started by one, or "" if there is none.
+func lifecycleGoroutine() string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	// Stacks are blank-line separated, the caller's first. Each frame is a
+	// function line ("created by F in goroutine N" for the go statement
+	// that started the goroutine) and a tab-indented file:line line.
+	stacks := strings.Split(string(buf), "\n\n")
+	for _, g := range stacks[1:] {
+		lines := strings.Split(g, "\n")
+		for i := 1; i < len(lines); i++ {
+			fn := strings.TrimPrefix(lines[i-1], "created by ")
+			if strings.HasPrefix(lines[i], "\t") && strings.HasPrefix(fn, "streamcover/internal/serve/lifecycle.") &&
+				!strings.Contains(lines[i], "_test.go:") {
+				return g
+			}
+		}
+	}
+	return ""
 }
 
 // TestLifecycleMintSkipsStoredTokens is the restart regression: the token

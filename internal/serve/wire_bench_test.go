@@ -1,0 +1,105 @@
+package serve
+
+// Rung L1 of the serving ledger (DESIGN.md §4j): the SCWIRE1 edge codec on
+// its own, over servebench's session stream — the planted n=300, m=4000,
+// opt=8 instance in random order at seed 1 (72,156 edges), cut into
+// 1024-edge frames. Encode is the client's work per frame: writeEdges
+// sealing the frame (varints and CRC) into a pooled, coalescing frame.IO.
+// Decode is the server's: a pooled frame.IO read (CRC check) plus
+// parseEdgesInto into a MaxBatch edge buffer. Both report ns/edge and
+// allocate nothing per op.
+
+import (
+	"bytes"
+	"io"
+	"testing"
+
+	"streamcover/internal/frame"
+	"streamcover/internal/stream"
+	"streamcover/internal/workload"
+	"streamcover/internal/xrand"
+)
+
+const (
+	benchN, benchM, benchOpt = 300, 4000, 8
+	benchFrameEdges          = 1024
+)
+
+// benchWireStream is servebench's stream at seed 1.
+func benchWireStream() []stream.Edge {
+	const seed = 1
+	inst := workload.Planted(xrand.New(seed), benchN, benchM, benchOpt, 0).Inst
+	return stream.Arrange(inst, stream.Random, xrand.New(seed^0x5eed0f0dde55))
+}
+
+// benchConn reads from its Reader and discards every write.
+type benchConn struct {
+	io.Reader
+	io.Writer
+}
+
+// sendStream writes edges through f as benchFrameEdges-edge edges frames,
+// flushes, and returns how many frames it sent.
+func sendStream(tb testing.TB, f *frame.IO, edges []stream.Edge) int {
+	frames := 0
+	for lo := 0; lo < len(edges); lo += benchFrameEdges {
+		if err := writeEdges(f, edges[lo:min(lo+benchFrameEdges, len(edges))]); err != nil {
+			tb.Fatal(err)
+		}
+		frames++
+	}
+	if err := f.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return frames
+}
+
+// reportNsPerEdge stops the timer, so the metric's own allocation is not
+// counted, and reports the time per edge.
+func reportNsPerEdge(b *testing.B, edges int) {
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+}
+
+func BenchmarkWireEdgesEncode(b *testing.B) {
+	edges := benchWireStream()
+	f := clientFrames.Get(benchConn{Writer: io.Discard})
+	defer clientFrames.Put(f)
+	sendStream(b, f, edges) // warm the write buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sendStream(b, f, edges)
+	}
+	reportNsPerEdge(b, len(edges))
+}
+
+func BenchmarkWireEdgesDecode(b *testing.B) {
+	edges := benchWireStream()
+	var wire bytes.Buffer
+	frames := sendStream(b, newFrameIO(&wire), edges)
+
+	r := bytes.NewReader(wire.Bytes())
+	f := serverFrames.Get(benchConn{Reader: r, Writer: io.Discard})
+	defer serverFrames.Put(f)
+	dst := make([]stream.Edge, MaxBatch)
+	decode := func() {
+		r.Reset(wire.Bytes())
+		for j := 0; j < frames; j++ {
+			payload, err := f.Read()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := parseEdgesInto(payload[1:], dst, benchN, benchM); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	decode() // warm the read window
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+	reportNsPerEdge(b, len(edges))
+}

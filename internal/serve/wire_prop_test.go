@@ -1,13 +1,15 @@
 package serve
 
-// Property test for the blocked edges-frame decoder: parseEdgesInto's
-// unrolled fast path, binary.Uvarint fallback and guarded tail loop must
-// agree byte-for-byte with the obvious per-edge reference decoder — same
-// accepted edges, same rejections — across every varint width, truncation
-// point and range violation. The reference below is the decoder the
-// transport shipped with before the blocked rewrite.
+// Property tests for the edges-frame codec. parseEdgesInto's branch-free
+// kernel and its per-edge binary.Uvarint loop must agree byte-for-byte
+// with the obvious per-edge reference decoder — same accepted edges, same
+// rejections — across every varint width, truncation point and range
+// violation; the reference below is the decoder the transport shipped
+// with before the blocked rewrite. writeEdges' bulk encoder must seal the
+// frame the per-field binary.AppendUvarint reference encoder would.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -169,4 +171,106 @@ func TestParseEdgesMatchesReference(t *testing.T) {
 	overflow := encodeBody(2, []uint64{1})
 	overflow = append(overflow, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
 	check("overflow varint", overflow, hugeN, hugeM)
+}
+
+// writeEdgesReference is the edges payload writeEdges must seal: the frame
+// type, the count, then each field appended with binary.AppendUvarint.
+func writeEdgesReference(edges []stream.Edge) []byte {
+	b := binary.AppendUvarint([]byte{frameEdges}, uint64(len(edges)))
+	for _, e := range edges {
+		b = binary.AppendUvarint(b, uint64(e.Set))
+		b = binary.AppendUvarint(b, uint64(e.Elem))
+	}
+	return b
+}
+
+// TestWriteEdgesMatchesReference pins writeEdges to writeEdgesReference
+// over every varint width an int32 ID can produce: 1–5 bytes for
+// non-negative IDs, and 10 for negative ones, which sign-extend. Each
+// batch is written behind a frame already queued in the same coalescing
+// frame.IO, as a client's back-to-back batches are, so the buffer grows
+// from a non-empty start. Every batch then goes back through
+// parseEdgesInto: one without negative IDs must decode to itself, and one
+// with a negative ID must be rejected, since no session shape holds it.
+func TestWriteEdgesMatchesReference(t *testing.T) {
+	rng := xrand.New(20261017)
+	// id draws an ID whose uvarint is w bytes (w in 1..5, or 10).
+	id := func(w int) int32 {
+		if w == 10 {
+			return int32(-1 - rng.IntN(math.MaxInt32))
+		}
+		v := varintValueOfWidth(rng, w)
+		for v > math.MaxInt32 { // only [2^28, 2^31) of the 5-byte range is an int32
+			v = varintValueOfWidth(rng, w)
+		}
+		return int32(v)
+	}
+	widths := []int{1, 2, 3, 4, 5, 10}
+	queued := []stream.Edge{{Set: 1, Elem: 2}, {Set: 300, Elem: 4}}
+	dst := make([]stream.Edge, MaxBatch)
+	for _, size := range []int{1, 1024, MaxBatch} {
+		for round := 0; round < 8; round++ {
+			// Even rounds draw non-negative IDs only.
+			ws := widths[:5+round%2]
+			edges := make([]stream.Edge, size)
+			negative := false
+			for i := range edges {
+				edges[i] = stream.Edge{Set: id(ws[rng.IntN(len(ws))]), Elem: id(ws[rng.IntN(len(ws))])}
+				negative = negative || edges[i].Set < 0 || edges[i].Elem < 0
+			}
+			tag := fmt.Sprintf("size %d round %d", size, round)
+
+			var wire bytes.Buffer
+			f := clientFrames.Get(&wire)
+			if err := writeEdges(f, queued); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeEdges(f, edges); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if err := f.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			clientFrames.Put(f)
+
+			var want bytes.Buffer
+			ref := newFrameIO(&want)
+			for _, batch := range [][]stream.Edge{queued, edges} {
+				if err := ref.End(append(ref.Begin(), writeEdgesReference(batch)...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := wire.Bytes(); !bytes.Equal(got, want.Bytes()) {
+				at := 0
+				for at < min(len(got), want.Len()) && got[at] == want.Bytes()[at] {
+					at++
+				}
+				t.Fatalf("%s: writeEdges' %d bytes differ from the reference's %d at byte %d", tag, len(got), want.Len(), at)
+			}
+
+			r := newFrameIO(&wire)
+			if _, err := r.Read(); err != nil { // the queued frame
+				t.Fatal(err)
+			}
+			payload, err := r.Read()
+			if err != nil {
+				t.Fatalf("%s: read back: %v", tag, err)
+			}
+			k, err := parseEdgesInto(payload[1:], dst, math.MaxInt64, math.MaxInt64)
+			if negative {
+				if !errors.Is(err, ErrWire) {
+					t.Fatalf("%s: batch with a negative ID parsed: k=%d err=%v", tag, k, err)
+				}
+				continue
+			}
+			if err != nil || k != size {
+				t.Fatalf("%s: round trip: k=%d err=%v, want %d edges", tag, k, err, size)
+			}
+			for i, e := range edges {
+				if dst[i] != e {
+					t.Fatalf("%s: edge %d decoded as %+v, want %+v", tag, i, dst[i], e)
+				}
+			}
+		}
+	}
 }
