@@ -16,14 +16,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Snapshot the perf-tracked benchmarks (EndToEnd*, Scaling, Adoption, and
-# WireEdges*, the SCWIRE1 edge codec rung in internal/serve) into the next
-# BENCH_<n>.json; three -count samples are folded to the per-benchmark
+# Snapshot the perf-tracked benchmarks (EndToEnd*, Scaling, Adoption, the
+# Checkpoint* SCCKPT1 codec rungs, and WireEdges*, the SCWIRE1 edge codec
+# rung in internal/serve) into the next BENCH_<n>.json; three -count samples are folded to the per-benchmark
 # noise floor (min ns/op, max throughput) by scbenchdiff. bench-diff compares
 # the two most recent snapshots and fails on ns/op, allocs/op or throughput
 # regression beyond the threshold.
 bench-save:
-	$(GO) test -run '^$$' -bench 'EndToEnd|Scaling|Adoption|WireEdges' -benchmem -count 3 . ./internal/serve/ | $(GO) run ./cmd/scbenchdiff -save
+	$(GO) test -run '^$$' -bench 'EndToEnd|Scaling|Adoption|Checkpoint|WireEdges' -benchmem -count 3 . ./internal/serve/ | $(GO) run ./cmd/scbenchdiff -save
 
 bench-diff:
 	$(GO) run ./cmd/scbenchdiff -diff
@@ -66,18 +66,21 @@ cluster-smoke:
 
 # Run every fuzz target for a ~10s budget each: the stream codec, the
 # prefetch pipeline, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
-# decoders, and the SCWIRE1, SCSTOR1 and SCRING1 parsers (go test allows
-# one -fuzz target per invocation).
+# decoders, alg1's trace-section decoder, and the SCWIRE1, SCSTOR1 and
+# SCRING1 parsers (go test allows one -fuzz target per invocation).
+# Minimizing a new interesting input is capped at 1s, so the budget goes to
+# new inputs rather than to shrinking one large mutant.
 fuzz-smoke:
-	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/stream/
-	$(GO) test -fuzz FuzzPrefetchedFile -fuzztime 10s ./internal/stream/
-	$(GO) test -fuzz FuzzValidate -fuzztime 10s ./internal/stream/
-	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/orlib/
-	$(GO) test -fuzz FuzzRestore -fuzztime 10s ./internal/snap/
-	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/snap/
-	$(GO) test -fuzz FuzzWireFrame -fuzztime 10s ./internal/serve/
-	$(GO) test -fuzz FuzzStoreFrame -fuzztime 10s ./internal/serve/store/
-	$(GO) test -fuzz FuzzRingCodec -fuzztime 10s ./internal/serve/ring/
+	$(GO) test -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
+	$(GO) test -fuzz FuzzPrefetchedFile -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
+	$(GO) test -fuzz FuzzValidate -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
+	$(GO) test -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/orlib/
+	$(GO) test -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 1s ./internal/snap/
+	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime 1s ./internal/snap/
+	$(GO) test -fuzz FuzzTraceDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -fuzz FuzzWireFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -fuzz FuzzStoreFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/store/
+	$(GO) test -fuzz FuzzRingCodec -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/ring/
 
 fmt:
 	gofmt -w .

@@ -9,13 +9,15 @@
 //
 // -save parses `go test -bench` output from stdin and writes the next
 // numbered snapshot BENCH_<n>.json (ns/op, allocs/op, B/op and every custom
-// metric such as edges/op and state_words). Repeated -count samples are
+// metric such as edges/op and state_words), stamped with the host it was
+// measured on: the Go version, go test's goos/goarch/cpu header lines, the
+// CPU count and the GOMAXPROCS suffix of the result lines. Repeated -count samples are
 // folded to the noise floor, not averaged: ns/op, allocs/op and B/op keep
 // the minimum and throughput (/sec, /sec/core) the maximum — on a shared
 // machine, contention only ever adds time, so min-of-N is the estimator
 // closest to the code's true cost; remaining metrics are averaged.
-// -diff loads the two most recent snapshots, prints a readable
-// comparison table — including custom metrics that appear in only one of
+// -diff loads the two most recent snapshots, prints both host stamps and a
+// readable comparison table — including custom metrics that appear in only one of
 // the snapshots — and exits non-zero when a gated metric regressed by more
 // than the threshold factor, which is what makes `make bench-diff` usable
 // as a CI gate. Gated metrics: ns/op and allocs/op (lower is better), plus
@@ -34,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,10 +57,29 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
+// Host stamps a snapshot with the machine and toolchain it was measured
+// on, so a diff across hosts is visible next to its verdict.
+type Host struct {
+	Go         string `json:"go,omitempty"`         // runtime.Version() of -save
+	GOOS       string `json:"goos,omitempty"`       // go test's "goos:" line
+	GOARCH     string `json:"goarch,omitempty"`     // go test's "goarch:" line
+	CPU        string `json:"cpu,omitempty"`        // go test's "cpu:" line
+	NumCPU     int    `json:"num_cpu,omitempty"`    // runtime.NumCPU() of -save
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"` // the result lines' -P suffix (none means 1)
+}
+
+// String renders the stamp on one line.
+func (h Host) String() string {
+	if h == (Host{}) {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s %s/%s, cpu %q, %d CPUs, GOMAXPROCS %d", h.Go, h.GOOS, h.GOARCH, h.CPU, h.NumCPU, h.GOMAXPROCS)
+}
+
 // Snapshot is one BENCH_<n>.json file.
 type Snapshot struct {
-	Created    string               `json:"created"`
-	Go         string               `json:"go,omitempty"`
+	Created string `json:"created"`
+	Host
 	Benchmarks map[string]Benchmark `json:"benchmarks"`
 }
 
@@ -92,13 +114,15 @@ func main() {
 
 // gomaxprocsSuffix is the "-8" style suffix go test appends to benchmark
 // names; stripping it keeps snapshot keys stable across machines.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // parseBench folds `go test -bench` output into one measurement per
 // benchmark: minimum for the lower-is-better columns, maximum for
 // throughput, average for the rest (see the package comment).
 // A result line is: Benchmark<Name>[-P] <iterations> {<value> <unit>}...
-func parseBench(r *bufio.Scanner) (map[string]Benchmark, string, error) {
+// The returned Host holds what the output says about the machine: the
+// goos/goarch/cpu header lines and the first result line's GOMAXPROCS.
+func parseBench(r *bufio.Scanner) (map[string]Benchmark, Host, error) {
 	type acc struct {
 		samples             int
 		ns, allocs, bytes   float64
@@ -106,11 +130,18 @@ func parseBench(r *bufio.Scanner) (map[string]Benchmark, string, error) {
 		metrics             map[string]float64
 	}
 	accs := map[string]*acc{}
-	goVersion := ""
+	var host Host
 	for r.Scan() {
 		line := strings.TrimSpace(r.Text())
-		if v, ok := strings.CutPrefix(line, "go: "); ok && goVersion == "" {
-			goVersion = v
+		if key, v, ok := strings.Cut(line, ": "); ok {
+			switch key {
+			case "goos":
+				host.GOOS = v
+			case "goarch":
+				host.GOARCH = v
+			case "cpu":
+				host.CPU = v
+			}
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
@@ -121,6 +152,12 @@ func parseBench(r *bufio.Scanner) (map[string]Benchmark, string, error) {
 		}
 		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue
+		}
+		if host.GOMAXPROCS == 0 {
+			host.GOMAXPROCS = 1
+			if m := gomaxprocsSuffix.FindStringSubmatch(fields[0]); m != nil {
+				host.GOMAXPROCS, _ = strconv.Atoi(m[1])
+			}
 		}
 		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
 		a := accs[name]
@@ -133,7 +170,7 @@ func parseBench(r *bufio.Scanner) (map[string]Benchmark, string, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, "", fmt.Errorf("bad value %q in line %q", fields[i], line)
+				return nil, host, fmt.Errorf("bad value %q in line %q", fields[i], line)
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
@@ -163,7 +200,7 @@ func parseBench(r *bufio.Scanner) (map[string]Benchmark, string, error) {
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, "", err
+		return nil, host, err
 	}
 	out := make(map[string]Benchmark, len(accs))
 	for name, a := range accs {
@@ -186,7 +223,7 @@ func parseBench(r *bufio.Scanner) (map[string]Benchmark, string, error) {
 		}
 		out[name] = b
 	}
-	return out, goVersion, nil
+	return out, host, nil
 }
 
 // snapshots returns the BENCH_<n>.json files in dir sorted by index.
@@ -224,7 +261,7 @@ func (b byIndex) Swap(i, j int) {
 }
 
 func runSave(dir string) error {
-	benches, goVersion, err := parseBench(bufio.NewScanner(os.Stdin))
+	benches, host, err := parseBench(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		return err
 	}
@@ -239,9 +276,10 @@ func runSave(dir string) error {
 	if len(indices) > 0 {
 		next = indices[len(indices)-1] + 1
 	}
+	host.Go, host.NumCPU = runtime.Version(), runtime.NumCPU()
 	snap := Snapshot{
 		Created:    time.Now().UTC().Format(time.RFC3339),
-		Go:         goVersion,
+		Host:       host,
 		Benchmarks: benches,
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
@@ -286,6 +324,11 @@ func runDiff(dir string, threshold float64, w io.Writer) (bool, error) {
 	newSnap, err := loadSnapshot(newPath)
 	if err != nil {
 		return false, err
+	}
+
+	fmt.Fprintf(w, "host %s: %s\nhost %s: %s\n", filepath.Base(oldPath), oldSnap.Host, filepath.Base(newPath), newSnap.Host)
+	if oldSnap.Host != newSnap.Host {
+		fmt.Fprintln(w, "hosts differ: ratios include the change of host")
 	}
 
 	names := make([]string, 0, len(newSnap.Benchmarks))

@@ -242,3 +242,67 @@ func TestParseBenchFoldsToNoiseFloor(t *testing.T) {
 		t.Errorf("edges/op = %v, want 540450", got)
 	}
 }
+
+// benchHeader is `go test -bench` output as captured on a 2-CPU host: the
+// header lines, one result line per benchmark, and the trailer.
+const benchHeader = `goos: linux
+goarch: amd64
+pkg: streamcover
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkCheckpointEncode/kk/cut1-2         	    9921	     12000 ns/op	 560.21 MB/s	      48 B/op	       1 allocs/op
+BenchmarkCheckpointDecode/kk/cut1-2         	    6000	     19000 ns/op	 293.92 MB/s	    6362 B/op	       6 allocs/op
+PASS
+ok  	streamcover	40.673s
+`
+
+func TestParseBenchHostStamp(t *testing.T) {
+	benches, host, err := parseBench(bufio.NewScanner(strings.NewReader(benchHeader)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 2}
+	if host != want {
+		t.Fatalf("host = %+v, want %+v", host, want)
+	}
+	if _, ok := benches["BenchmarkCheckpointEncode/kk/cut1"]; !ok || len(benches) != 2 {
+		t.Fatalf("benchmarks = %v", benches)
+	}
+
+	// go test prints no suffix when GOMAXPROCS is 1.
+	_, host, err = parseBench(bufio.NewScanner(strings.NewReader("BenchmarkX 	 10	 5 ns/op\n")))
+	if err != nil || host.GOMAXPROCS != 1 {
+		t.Fatalf("unsuffixed result line: GOMAXPROCS %d, err %v", host.GOMAXPROCS, err)
+	}
+}
+
+func TestDiffPrintsHostStamps(t *testing.T) {
+	dir := t.TempDir()
+	b := map[string]Benchmark{"BenchmarkX": bench(100, 2)}
+	writeSnap(t, dir, 0, b) // a snapshot from before host stamps
+	snap := Snapshot{Created: "2026-01-02T00:00:00Z", Benchmarks: b,
+		Host: Host{Go: "go1.24.0", GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor", NumCPU: 2, GOMAXPROCS: 2}}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_1.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if _, err := runDiff(dir, 1.20, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"host BENCH_0.json: not recorded",
+		`host BENCH_1.json: go1.24.0 linux/amd64, cpu "Intel(R) Xeon(R) Processor", 2 CPUs, GOMAXPROCS 2`,
+		"hosts differ",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("output missing %q:\n%s", want, got)
+		}
+	}
+	if strings.Index(got, "host BENCH_1.json") > strings.Index(got, "PASS") {
+		t.Fatalf("stamps must come above the verdict:\n%s", got)
+	}
+}

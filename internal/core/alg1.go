@@ -62,8 +62,9 @@ const (
 type Algorithm struct {
 	space.Tracked
 
-	r   resolved
-	rng *xrand.Rand
+	r     resolved
+	shape string // r.String(), the snapshot shape fingerprint, formatted once
+	rng   *xrand.Rand
 
 	sink *obs.Sink // decision-event sink; nil (inert) unless a hub is installed
 
@@ -142,6 +143,7 @@ func newState(r resolved, rng *xrand.Rand) *Algorithm {
 	sc := getScratch(r.n, r.m, countersCap(r.m, r.B))
 	a := &Algorithm{
 		r:        r,
+		shape:    r.String(),
 		rng:      rng,
 		sink:     obs.SinkFor(obs.AlgoAlg1),
 		sc:       sc,
@@ -189,7 +191,7 @@ func (a *Algorithm) release() {
 }
 
 // Resolved returns the concrete schedule in use, for reports.
-func (a *Algorithm) Resolved() string { return a.r.String() }
+func (a *Algorithm) Resolved() string { return a.shape }
 
 func (a *Algorithm) addToSol(s setcover.SetID) {
 	if a.sol.Test(s) {

@@ -18,14 +18,16 @@ const snapVersion = 1
 // (Sol, marked, C, Q̃/Q̃', T), the epoch-0 prefix counts, the diagnostic
 // trace and the space meters. The resolved schedule string is embedded as
 // the shape fingerprint: a snapshot only restores into an instance built
-// with parameters that resolve to the identical schedule. Valid only before
-// Finish (Finish releases the dense state to the pool).
+// with parameters that resolve to the identical schedule. The trace is
+// written by json.Marshal and read back by decodeTrace, which accepts only
+// that layout. Valid only before Finish (Finish releases the dense state to
+// the pool).
 func (a *Algorithm) Snapshot(wr io.Writer) error {
 	if a.finished {
 		return errors.New("core: Snapshot after Finish")
 	}
 	w := snap.NewWriter(wr, "alg1", snapVersion)
-	w.String(a.r.String())
+	w.String(a.shape)
 	w.Int(a.pos)
 	w.Int(int(a.phase))
 	a.rng.Save(w)
@@ -73,9 +75,9 @@ func (a *Algorithm) Restore(rd io.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if got := a.r.String(); shape != got {
+	if shape != a.shape {
 		return fmt.Errorf("%w: snapshot schedule %q, receiver resolves to %q",
-			snap.ErrMismatch, shape, got)
+			snap.ErrMismatch, shape, a.shape)
 	}
 	a.pos = r.Int()
 	ph := r.Int()
@@ -102,9 +104,9 @@ func (a *Algorithm) Restore(rd io.Reader) error {
 	a.tcounts.Load(r)
 	tr := r.Bytes()
 	if r.Err() == nil {
-		var decoded Trace
-		if err := json.Unmarshal(tr, &decoded); err != nil {
-			return fmt.Errorf("%w: trace: %v", snap.ErrCorrupt, err)
+		decoded, err := decodeTrace(tr)
+		if err != nil {
+			return fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 		}
 		a.trace = decoded
 	}

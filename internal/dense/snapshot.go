@@ -1,6 +1,10 @@
 package dense
 
-import "streamcover/internal/snap"
+import (
+	"slices"
+
+	"streamcover/internal/snap"
+)
 
 // Save/Load serialize the dense primitives into a snap container. The
 // encodings are logical, not physical: a StampedSet writes its member list
@@ -41,18 +45,22 @@ func (b Bits) Load(r *snap.Reader) {
 }
 
 // Save writes the set: capacity, then the member list in ascending order.
+// The stamp scan stops at the last member.
 func (s *StampedSet) Save(w *snap.Writer) {
 	w.Int(len(s.stamp))
 	w.Int(s.count)
-	for i, st := range s.stamp {
-		if st == s.gen {
+	left := s.count
+	for i := 0; left > 0 && i < len(s.stamp); i++ {
+		if s.stamp[i] == s.gen {
 			w.I64(int64(i))
+			left--
 		}
 	}
 }
 
 // Load restores a set saved with Save into s, which must have the same
-// capacity. The receiver's previous contents are discarded.
+// capacity. The receiver's previous contents are discarded. Members decode
+// in stack-sized chunks, one tight loop each.
 func (s *StampedSet) Load(r *snap.Reader) {
 	n := r.Int()
 	k := r.Int()
@@ -68,16 +76,21 @@ func (s *StampedSet) Load(r *snap.Reader) {
 		return
 	}
 	s.Clear()
-	for j := 0; j < k; j++ {
-		i := r.I32()
+	var chunk [256]int32
+	for k > 0 {
+		part := chunk[:min(k, len(chunk))]
+		k -= len(part)
+		r.FillI32s(part)
 		if r.Err() != nil {
 			return
 		}
-		if i < 0 || int(i) >= n {
-			r.Failf("%w: set member %d out of range [0,%d)", snap.ErrCorrupt, i, n)
-			return
+		for _, i := range part {
+			if i < 0 || int(i) >= n {
+				r.Failf("%w: set member %d out of range [0,%d)", snap.ErrCorrupt, i, n)
+				return
+			}
+			s.Add(i)
 		}
-		s.Add(i)
 	}
 }
 
@@ -93,7 +106,9 @@ func (c *Counts) Save(w *snap.Writer) {
 }
 
 // Load restores a table saved with Save into c, which must have the same
-// capacity. Touch order — and therefore ForEach order — is preserved.
+// capacity. Touch order — and therefore ForEach order — is preserved. The
+// (slot, count) pairs decode in one loop into the touched list's backing
+// array, which is then compacted to the slots in place.
 func (c *Counts) Load(r *snap.Reader) {
 	n := r.Int()
 	k := r.Int()
@@ -109,12 +124,13 @@ func (c *Counts) Load(r *snap.Reader) {
 		return
 	}
 	c.Clear()
+	pairs := slices.Grow(c.touched, 2*k)[:2*k]
+	r.FillI32s(pairs)
+	if r.Err() != nil {
+		return
+	}
 	for j := 0; j < k; j++ {
-		i := r.I32()
-		v := r.I32()
-		if r.Err() != nil {
-			return
-		}
+		i, v := pairs[2*j], pairs[2*j+1]
 		if i < 0 || int(i) >= n {
 			r.Failf("%w: counter slot %d out of range [0,%d)", snap.ErrCorrupt, i, n)
 			return
@@ -125,6 +141,7 @@ func (c *Counts) Load(r *snap.Reader) {
 		}
 		c.stamp[i] = c.gen
 		c.counts[i] = v
-		c.touched = append(c.touched, i)
+		pairs[j] = i // j <= 2j: the pair is read before its slot is overwritten
 	}
+	c.touched = pairs[:k]
 }

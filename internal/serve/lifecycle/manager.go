@@ -298,7 +298,7 @@ func (m *Manager) Resume(token string, trace obs.TraceID, cfg Config) (*Session,
 		return nil, 0, fmt.Errorf("%w: %q was minted but never checkpointed", ErrUnknownSession, token)
 	}
 	m.so.StoreGet(len(blob), time.Since(t0).Nanoseconds())
-	pos, ckptTrace, err := stream.ReadCheckpointTraced(bytes.NewReader(blob), alg)
+	pos, ckptTrace, err := stream.ReadCheckpointTraced(bytes.NewBuffer(blob), alg)
 	if err != nil {
 		m.unclaim(token)
 		return nil, 0, fmt.Errorf("serve: resume %q: %w", token, err)

@@ -4,12 +4,7 @@ import "streamcover/internal/setcover"
 
 // SaveSetIDs writes a length-prefixed slice of set identifiers (NoSet
 // included) as signed varints.
-func SaveSetIDs(w *Writer, v []setcover.SetID) {
-	w.U64(uint64(len(v)))
-	for _, s := range v {
-		w.I64(int64(s))
-	}
-}
+func SaveSetIDs(w *Writer, v []setcover.SetID) { appendVarints(w, v) }
 
 // LoadSetIDsInto reads a slice written by SaveSetIDs into dst, failing
 // unless the stored length matches exactly and every value is either NoSet
@@ -23,15 +18,5 @@ func LoadSetIDsInto(r *Reader, dst []setcover.SetID, m int) {
 		r.Failf("%w: set-id slice length %d, receiver holds %d", ErrMismatch, n, len(dst))
 		return
 	}
-	for i := range dst {
-		s := r.I32()
-		if r.err != nil {
-			return
-		}
-		if s != int32(setcover.NoSet) && (s < 0 || int(s) >= m) {
-			r.Failf("%w: set id %d out of range [0,%d)", ErrCorrupt, s, m)
-			return
-		}
-		dst[i] = setcover.SetID(s)
-	}
+	fillVarints(r, dst, int64(setcover.NoSet), int64(m)-1)
 }

@@ -225,14 +225,16 @@ func TestStickyErrorShortCircuits(t *testing.T) {
 	}
 }
 
+// TestWriterErrorPropagation: a Writer writes its sink once, at Close, so the
+// sink's error comes back from Close and then stays latched.
 func TestWriterErrorPropagation(t *testing.T) {
 	w := NewWriter(failWriter{}, "x", 1)
 	w.Int(3)
-	if w.Err() == nil {
-		t.Fatal("write to failing sink reported no error")
+	if err := w.Close(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Close returned %v, want the sink's error", err)
 	}
-	if w.Close() == nil {
-		t.Fatal("Close swallowed the write error")
+	if !errors.Is(w.Err(), io.ErrShortWrite) || !errors.Is(w.Close(), io.ErrShortWrite) {
+		t.Fatal("the sink's error is not sticky")
 	}
 }
 
@@ -277,5 +279,133 @@ func TestBoolsIntoLengthMismatch(t *testing.T) {
 	r.BoolsInto(dst)
 	if err := r.Err(); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("want ErrMismatch, got %v", err)
+	}
+}
+
+// varintEdges are values at every zigzag varint width boundary the bulk
+// decoder's one- and two-byte fast paths and its general path meet.
+var varintEdges = []int32{0, -1, 1, 63, -64, 64, -65, 8191, -8192, 8192, -8193, 1 << 20, math.MaxInt32, math.MinInt32}
+
+func TestBulkVarintsAtEveryWidth(t *testing.T) {
+	wide := make([]int64, len(varintEdges))
+	ints := make([]int, len(varintEdges))
+	for i, v := range varintEdges {
+		wide[i], ints[i] = int64(v)<<20, int(v)
+	}
+	b := encode(t, "x", 1, func(w *Writer) {
+		w.I32s(varintEdges)
+		w.I32s(varintEdges)
+		w.I64s(wide)
+		w.Ints(ints)
+		for _, v := range varintEdges {
+			w.I64(int64(v)) // no prefix: FillI32s's layout
+		}
+	})
+	r, err := NewReader(bytes.NewReader(b), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.I32s()
+	into := make([]int32, len(varintEdges))
+	r.I32sInto(into)
+	gotWide, gotInts := r.I64s(), r.Ints()
+	fill := make([]int32, len(varintEdges))
+	r.FillI32s(fill)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range varintEdges {
+		if got[i] != v || into[i] != v || fill[i] != v || gotWide[i] != wide[i] || gotInts[i] != ints[i] {
+			t.Fatalf("element %d (%d): I32s %d, I32sInto %d, FillI32s %d, I64s %d, Ints %d",
+				i, v, got[i], into[i], fill[i], gotWide[i], gotInts[i])
+		}
+	}
+}
+
+func TestBulkVarintFailuresAreTyped(t *testing.T) {
+	// A two-byte varint cut after its first byte: the data ends mid-value.
+	b := encode(t, "x", 1, func(w *Writer) { w.I32s([]int32{1, 200}) })
+	cut := bytes.Index(b, []byte{2, 2, 0x90}) + 3 // length 2, zigzag(1), first byte of zigzag(200)
+	r, err := NewReader(bytes.NewReader(b[:cut]), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.I32sInto(make([]int32, 2))
+	if err := r.Err(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("value cut mid-varint: want ErrTruncated, got %v", err)
+	}
+
+	// A value that does not fit the destination's int32.
+	b = encode(t, "x", 1, func(w *Writer) { w.I64s([]int64{1, 1 << 40}) })
+	r, err = NewReader(bytes.NewReader(b), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.I32sInto(make([]int32, 2))
+	if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("int32 overflow: want ErrCorrupt, got %v", err)
+	}
+
+	// A slice length the bytes left cannot hold fails before allocating.
+	b = encode(t, "x", 1, func(w *Writer) { w.U64(1000) })
+	r, err = NewReader(bytes.NewReader(b), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := r.I64s(); v != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("length beyond the data: got %v, err %v", v, r.Err())
+	}
+}
+
+// TestNestedContainersShareOneSlice nests two containers and raw bytes in a
+// parent through Raw, reads them back in place from a *bytes.Buffer, and
+// checks the buffer is advanced by exactly the parent container.
+func TestNestedContainersShareOneSlice(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, "outer", 1)
+	w.Int(2)
+	for i := 0; i < 2; i++ {
+		c := NewWriter(w.Raw(), "inner", 1)
+		c.Ints([]int{i, 100 * i})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Raw().Write([]byte("raw")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("next")
+
+	r, err := NewReader(&buf, "outer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := r.Int(); k != 2 {
+		t.Fatalf("copies %d", k)
+	}
+	for i := 0; i < 2; i++ {
+		c, err := NewReader(r.Raw(), "inner")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Ints(); len(got) != 2 || got[1] != 100*i {
+			t.Fatalf("inner %d: %v", i, got)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("inner %d: %v", i, err)
+		}
+	}
+	raw := make([]byte, 3)
+	if _, err := io.ReadFull(r.Raw(), raw); err != nil || string(raw) != "raw" {
+		t.Fatalf("raw bytes %q, err %v", raw, err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "next" {
+		t.Fatalf("source left at %q, want exactly the bytes after the container", buf.String())
 	}
 }

@@ -154,7 +154,9 @@ func WriteCheckpoint(w io.Writer, pos int, alg Algorithm) error {
 
 // WriteCheckpointTraced is WriteCheckpoint with the session's trace ID
 // stamped into the envelope (a zero trace writes the classic untraced
-// envelope, byte-identical to pre-trace checkpoints).
+// envelope, byte-identical to pre-trace checkpoints). The envelope is built
+// in one pooled slice — the snapshot appends into it in place — and written
+// to w in one call.
 func WriteCheckpointTraced(w io.Writer, pos int, trace obs.TraceID, alg Algorithm) error {
 	sn, err := snapshotterOf(alg)
 	if err != nil {
@@ -163,30 +165,17 @@ func WriteCheckpointTraced(w io.Writer, pos int, trace obs.TraceID, alg Algorith
 	if pos < 0 {
 		return fmt.Errorf("stream: negative checkpoint position %d", pos)
 	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if _, err := io.WriteString(mw, ckptMagic); err != nil {
-		return err
-	}
-	var vb [binary.MaxVarintLen64]byte
-	if _, err := mw.Write(vb[:binary.PutUvarint(vb[:], uint64(pos))]); err != nil {
-		return err
-	}
-	// The snapshot streams through mw so the outer checksum covers it.
-	if err := sn.Snapshot(mw); err != nil {
+	buf := snap.GetBuffer()
+	defer snap.PutBuffer(buf)
+	buf.B = binary.AppendUvarint(append(buf.B, ckptMagic...), uint64(pos))
+	if err := sn.Snapshot(buf); err != nil {
 		return err
 	}
 	if !trace.IsZero() {
-		if _, err := io.WriteString(mw, ckptTraceMark); err != nil {
-			return err
-		}
-		if _, err := mw.Write(trace[:]); err != nil {
-			return err
-		}
+		buf.B = append(append(buf.B, ckptTraceMark...), trace[:]...)
 	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	_, err = w.Write(trailer[:])
+	buf.B = binary.LittleEndian.AppendUint32(buf.B, crc32.ChecksumIEEE(buf.B))
+	_, err = w.Write(buf.B)
 	return err
 }
 
@@ -200,45 +189,53 @@ func ReadCheckpoint(r io.Reader, alg Algorithm) (int, error) {
 	return pos, err
 }
 
+// parseEnvelopeHead checks a checkpoint's magic and decodes its position,
+// returning the position and the bytes after it.
+func parseEnvelopeHead(data []byte) (int, []byte, error) {
+	if len(data) < len(ckptMagic) {
+		return 0, nil, fmt.Errorf("%w: checkpoint magic: %d of %d bytes", snap.ErrTruncated, len(data), len(ckptMagic))
+	}
+	if m := data[:len(ckptMagic)]; string(m) != ckptMagic {
+		return 0, nil, fmt.Errorf("%w: bad checkpoint magic %q", snap.ErrCorrupt, m)
+	}
+	pos64, n := binary.Uvarint(data[len(ckptMagic):])
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("%w: checkpoint position: malformed varint", snap.ErrCorrupt)
+	}
+	if pos64 > 1<<62 {
+		return 0, nil, fmt.Errorf("%w: checkpoint position %d overflows", snap.ErrCorrupt, pos64)
+	}
+	return int(pos64), data[len(ckptMagic)+n:], nil
+}
+
 // ReadCheckpointTraced is ReadCheckpoint returning the envelope's stamped
 // trace ID as well (the zero ID for untraced envelopes). It consumes r to
 // EOF: the trace section is optional, so the envelope's end is needed to
-// tell the section from the checksum trailer.
+// tell the section from the checksum trailer. The envelope is parsed in
+// place from one slice (see snap.ReadAll), the snapshot restoring from its
+// span of it.
 func ReadCheckpointTraced(r io.Reader, alg Algorithm) (int, obs.TraceID, error) {
 	var trace obs.TraceID
 	sn, err := snapshotterOf(alg)
 	if err != nil {
 		return 0, trace, err
 	}
-	crc := crc32.NewIEEE()
-	tee := io.TeeReader(r, crc)
-	var m [len(ckptMagic)]byte
-	if _, err := io.ReadFull(tee, m[:]); err != nil {
-		return 0, trace, fmt.Errorf("%w: checkpoint magic: %v", snap.ErrTruncated, err)
-	}
-	if string(m[:]) != ckptMagic {
-		return 0, trace, fmt.Errorf("%w: bad checkpoint magic %q", snap.ErrCorrupt, m[:])
-	}
-	pos64, err := binary.ReadUvarint(oneByteReader{tee})
+	data, err := snap.ReadAll(r)
 	if err != nil {
-		return 0, trace, fmt.Errorf("%w: checkpoint position: %v", snap.ErrCorrupt, err)
+		return 0, trace, err
 	}
-	if pos64 > 1<<62 {
-		return 0, trace, fmt.Errorf("%w: checkpoint position %d overflows", snap.ErrCorrupt, pos64)
+	pos, rest, err := parseEnvelopeHead(data)
+	if err != nil {
+		return 0, trace, err
 	}
-	// Restore streams through tee, so the outer checksum covers the embedded
-	// snapshot (including its inner trailer).
-	if err := sn.Restore(tee); err != nil {
+	body := bytes.NewBuffer(rest)
+	if err := sn.Restore(body); err != nil {
 		return 0, trace, err
 	}
 	// Everything after the snapshot is the optional trace section plus the
-	// 4-byte trailer; read it raw (not through tee) and fold the non-trailer
-	// prefix into the checksum by hand. An envelope tail can only be 4
-	// (untraced) or 4+ckptTraceExtra (traced) bytes.
-	tail, err := io.ReadAll(io.LimitReader(r, int64(ckptTraceExtra)+4+1))
-	if err != nil {
-		return 0, trace, fmt.Errorf("%w: checkpoint tail: %v", snap.ErrTruncated, err)
-	}
+	// 4-byte trailer: an envelope tail can only be 4 (untraced) or
+	// 4+ckptTraceExtra (traced) bytes.
+	tail := body.Bytes()
 	switch len(tail) {
 	case 4:
 	case ckptTraceExtra + 4:
@@ -249,12 +246,17 @@ func ReadCheckpointTraced(r io.Reader, alg Algorithm) (int, obs.TraceID, error) 
 	default:
 		return 0, trace, fmt.Errorf("%w: checkpoint tail of %d bytes (want 4 or %d)", snap.ErrCorrupt, len(tail), ckptTraceExtra+4)
 	}
-	body, trailer := tail[:len(tail)-4], tail[len(tail)-4:]
-	crc.Write(body)
-	if crc.Sum32() != binary.LittleEndian.Uint32(trailer) {
+	if !envelopeCRCOK(data) {
 		return 0, obs.TraceID{}, fmt.Errorf("%w: checkpoint checksum mismatch", snap.ErrCorrupt)
 	}
-	return int(pos64), trace, nil
+	return pos, trace, nil
+}
+
+// envelopeCRCOK checks an envelope's trailer against one CRC pass over
+// everything before it.
+func envelopeCRCOK(data []byte) bool {
+	n := len(data) - 4
+	return crc32.ChecksumIEEE(data[:n]) == binary.LittleEndian.Uint32(data[n:])
 }
 
 // WriteCheckpointFile writes a checkpoint of alg at position pos to path
@@ -310,45 +312,29 @@ type CheckpointInfo struct {
 // instance to restore into. Inspection tooling (sctrace) uses it.
 func InspectCheckpoint(r io.Reader) (CheckpointInfo, error) {
 	var info CheckpointInfo
-	crc := crc32.NewIEEE()
-	tee := io.TeeReader(r, crc)
-	var m [len(ckptMagic)]byte
-	if _, err := io.ReadFull(tee, m[:]); err != nil {
-		return info, fmt.Errorf("%w: checkpoint magic: %v", snap.ErrTruncated, err)
-	}
-	if string(m[:]) != ckptMagic {
-		return info, fmt.Errorf("%w: bad checkpoint magic %q", snap.ErrCorrupt, m[:])
-	}
-	pos64, err := binary.ReadUvarint(oneByteReader{tee})
+	data, err := snap.ReadAll(r)
 	if err != nil {
-		return info, fmt.Errorf("%w: checkpoint position: %v", snap.ErrCorrupt, err)
+		return info, err
 	}
-	rest, err := io.ReadAll(tee)
+	pos, rest, err := parseEnvelopeHead(data)
 	if err != nil {
-		return info, fmt.Errorf("%w: checkpoint body: %v", snap.ErrTruncated, err)
+		return info, err
 	}
 	if len(rest) < 4 {
 		return info, fmt.Errorf("%w: checkpoint body too short (%d bytes)", snap.ErrTruncated, len(rest))
 	}
-	payload, trailer := rest[:len(rest)-4], rest[len(rest)-4:]
-	// The tee hashed the trailer too; recompute over just magic+pos+payload.
-	crc = crc32.NewIEEE()
-	crc.Write(m[:])
-	var vb [binary.MaxVarintLen64]byte
-	crc.Write(vb[:binary.PutUvarint(vb[:], pos64)])
-	crc.Write(payload)
-	if crc.Sum32() != binary.LittleEndian.Uint32(trailer) {
+	if !envelopeCRCOK(data) {
 		return info, fmt.Errorf("%w: checkpoint checksum mismatch", snap.ErrCorrupt)
 	}
-	snapshot, trace, err := splitTraceSection(payload)
+	snapshot, trace, err := splitTraceSection(rest[:len(rest)-4])
 	if err != nil {
 		return info, err
 	}
-	sr, err := snap.NewReader(bytes.NewReader(snapshot), "")
+	sr, err := snap.NewReader(bytes.NewBuffer(snapshot), "")
 	if err != nil {
 		return info, fmt.Errorf("embedded snapshot: %w", err)
 	}
-	info.Pos = int(pos64)
+	info.Pos = pos
 	info.Algo = sr.Algo()
 	info.Version = sr.Version()
 	info.Bytes = len(snapshot)
@@ -374,16 +360,6 @@ func splitTraceSection(payload []byte) (snapshot []byte, trace obs.TraceID, err 
 		return payload[:n], trace, nil
 	}
 	return nil, trace, fmt.Errorf("%w: embedded snapshot trailer not found", snap.ErrCorrupt)
-}
-
-// oneByteReader adapts an io.Reader to io.ByteReader without buffering, so
-// varint decoding leaves the reader positioned exactly after the varint.
-type oneByteReader struct{ r io.Reader }
-
-func (b oneByteReader) ReadByte() (byte, error) {
-	var one [1]byte
-	_, err := io.ReadFull(b.r, one[:])
-	return one[0], err
 }
 
 // AtomicWriteFile writes data to path via a fsynced temp file in the same

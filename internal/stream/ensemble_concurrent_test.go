@@ -291,15 +291,19 @@ func TestEnsembleSharedSessionRingStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
+				// Take a buffer before claiming a batch: claiming first can
+				// leave the batch the dispatcher waits for without a buffer,
+				// every buffer held by a later batch — a deadlock.
+				idx := <-free
 				b := int(atomic.AddInt64(&next, 1))
 				if b >= numBatches {
+					free <- idx
 					return
 				}
 				lo, hi := b*batchLen, (b+1)*batchLen
 				if hi > total {
 					hi = total
 				}
-				idx := <-free
 				n := copy(bufs[idx], edges[lo:hi])
 				slots[b] <- filled{idx: idx, n: n}
 			}
