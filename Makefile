@@ -18,7 +18,7 @@ bench:
 
 # Snapshot the perf-tracked benchmarks (EndToEnd*, Scaling, Adoption, the
 # Checkpoint* SCCKPT1 codec rungs, and WireEdges*, the SCWIRE1 edge codec
-# rung in internal/serve) into the next BENCH_<n>.json; three -count samples are folded to the per-benchmark
+# and net.Pipe session rungs in internal/serve) into the next BENCH_<n>.json; three -count samples are folded to the per-benchmark
 # noise floor (min ns/op, max throughput) by scbenchdiff. bench-diff compares
 # the two most recent snapshots and fails on ns/op, allocs/op or throughput
 # regression beyond the threshold.
@@ -38,8 +38,9 @@ experiments-full:
 # Tier-1 gate (ROADMAP.md) and the whole of CI's test step: static checks
 # and builds with and without the observability layer, the race-enabled
 # test suite, the suite again with observability compiled out (obsoff), a
-# one-iteration smoke of the perf-tracked benchmarks, and the one
-# multi-process harness.
+# one-iteration smoke of the perf-tracked benchmarks (the in-process
+# EndToEnd rows and the WireEdges serving rungs), and the one multi-process
+# harness.
 check:
 	$(GO) vet ./...
 	$(GO) vet -tags obsoff ./...
@@ -48,6 +49,7 @@ check:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -tags obsoff ./...
 	$(GO) test -run '^$$' -bench EndToEnd -benchtime 1x .
+	$(GO) test -run '^$$' -bench WireEdges -benchtime 1x ./internal/serve/
 	$(MAKE) cluster-smoke
 
 # Re-evaluate every paper-predicted shape; non-zero exit on mismatch.

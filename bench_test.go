@@ -13,24 +13,40 @@ package streamcover
 import (
 	"fmt"
 	"runtime"
-
+	"syscall"
 	"testing"
+	"time"
 
 	"streamcover/internal/experiments"
 )
 
 // reportThroughput publishes the edge-throughput metrics every streaming
 // benchmark shares: edges consumed per op, absolute edges/sec over the
-// measured wall time, and the headline edges/sec/core (normalized by
-// GOMAXPROCS, so numbers are comparable across machines; see DESIGN.md §4g
-// for the roofline this is measured against).
-func reportThroughput(b *testing.B, edgesPerOp int) {
+// measured wall time, edges/sec/core (normalized by GOMAXPROCS; see
+// DESIGN.md §4g for the roofline this is measured against), and
+// edges/cpu-s, edges per second of the process's user+sys CPU time since
+// cpu0, which does not depend on how many cores the host has. Callers take
+// cpu0 from cpuSeconds right after ResetTimer.
+func reportThroughput(b *testing.B, edgesPerOp int, cpu0 float64) {
+	edges := float64(edgesPerOp) * float64(b.N)
 	b.ReportMetric(float64(edgesPerOp), "edges/op")
 	if sec := b.Elapsed().Seconds(); sec > 0 {
-		eps := float64(edgesPerOp) * float64(b.N) / sec
+		eps := edges / sec
 		b.ReportMetric(eps, "edges/sec")
 		b.ReportMetric(eps/float64(runtime.GOMAXPROCS(0)), "edges/sec/core")
 	}
+	if cpu := cpuSeconds() - cpu0; cpu > 0 {
+		b.ReportMetric(edges/cpu, "edges/cpu-s")
+	}
+}
+
+// cpuSeconds returns the user+sys CPU time the process has used.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
 
 func benchReport(b *testing.B, run func(experiments.Config) (*experiments.Report, error), metrics ...string) {
@@ -188,14 +204,16 @@ func BenchmarkScaling(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/m=%d", tc.name, m), func(b *testing.B) {
 				var state int64
+				cpu0 := cpuSeconds()
 				for i := 0; i < b.N; i++ {
 					res := RunEdges(tc.mk(i), edges)
 					state = res.Space.State
 				}
 				// Every algorithm row reports the same metric set —
-				// edges/op, edges/sec, edges/sec/core, state_words — so
-				// scbenchdiff can line rows up across snapshots.
-				reportThroughput(b, len(edges))
+				// edges/op, edges/sec, edges/sec/core, edges/cpu-s,
+				// state_words — so scbenchdiff can line rows up across
+				// snapshots.
+				reportThroughput(b, len(edges), cpu0)
 				b.ReportMetric(float64(state), "state_words")
 			})
 		}
@@ -209,11 +227,12 @@ func BenchmarkEndToEndAlg1(b *testing.B) {
 	w := PlantedWorkload(rng.Split(), 900, 18000, 15, 0)
 	edges := Arrange(w.Inst, RandomOrder, rng.Split())
 	b.ResetTimer()
+	cpu0 := cpuSeconds()
 	for i := 0; i < b.N; i++ {
 		alg := NewRandomOrder(900, 18000, len(edges), NewRand(uint64(i)))
 		RunEdges(alg, edges)
 	}
-	reportThroughput(b, len(edges))
+	reportThroughput(b, len(edges), cpu0)
 }
 
 // BenchmarkEndToEndKK measures raw streaming throughput of the
@@ -223,8 +242,9 @@ func BenchmarkEndToEndKK(b *testing.B) {
 	w := PlantedWorkload(rng.Split(), 900, 18000, 15, 0)
 	edges := Arrange(w.Inst, RandomOrder, rng.Split())
 	b.ResetTimer()
+	cpu0 := cpuSeconds()
 	for i := 0; i < b.N; i++ {
 		RunEdges(NewKK(900, 18000, NewRand(uint64(i))), edges)
 	}
-	reportThroughput(b, len(edges))
+	reportThroughput(b, len(edges), cpu0)
 }

@@ -414,11 +414,14 @@ const (
 )
 
 // metricGate classifies a custom metric by its unit: throughput units
-// ("edges/sec", "edges/sec/core", anything ending in /sec or /sec/core) are
-// gated higher-is-better; everything else is informational.
+// ("edges/sec", "edges/sec/core", "edges/cpu-s", anything ending in /sec,
+// /sec/core or /cpu-s) are gated higher-is-better; everything else is
+// informational.
 func metricGate(unit string) gateKind {
-	if strings.HasSuffix(unit, "/sec") || strings.HasSuffix(unit, "/sec/core") {
-		return gateHigher
+	for _, suffix := range []string{"/sec", "/sec/core", "/cpu-s"} {
+		if strings.HasSuffix(unit, suffix) {
+			return gateHigher
+		}
 	}
 	return gateNone
 }

@@ -178,6 +178,23 @@ func TestDiffThroughputMetricGatedHigherIsBetter(t *testing.T) {
 	}
 }
 
+// TestMetricGateUnits pins which custom metrics gate: every throughput
+// unit, per wall second, per core or per CPU second, is higher-is-better.
+func TestMetricGateUnits(t *testing.T) {
+	for unit, want := range map[string]gateKind{
+		"edges/sec":      gateHigher,
+		"edges/sec/core": gateHigher,
+		"edges/cpu-s":    gateHigher,
+		"edges/op":       gateNone,
+		"state_words":    gateNone,
+		"ns/edge":        gateNone,
+	} {
+		if got := metricGate(unit); got != want {
+			t.Errorf("metricGate(%q) = %d, want %d", unit, got, want)
+		}
+	}
+}
+
 func TestDiffInformationalMetricNeverGates(t *testing.T) {
 	dir := t.TempDir()
 	writeSnap(t, dir, 0, map[string]Benchmark{

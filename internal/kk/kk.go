@@ -43,6 +43,11 @@ type Algorithm struct {
 	n, m  int
 	sqrtN int
 	rng   *xrand.Rand
+	// probs[l] is inclusionProb(l), tabled so that a level-up reads its
+	// coin's bias instead of calling math.Ldexp. The table covers every
+	// level whose coin can miss: m < 2^31 and √n ≥ 1 put level 31 at
+	// probability ≥ 1. It is derived from (n, m), not snapshotted.
+	probs [32]float64
 
 	sink *obs.Sink // decision-event sink; nil (inert) unless a hub is installed
 	pos  int64     // edges processed, stamped on emitted events
@@ -137,6 +142,9 @@ func New(n, m int, rng *xrand.Rand) *Algorithm {
 		a.cert[u] = setcover.NoSet
 	}
 	a.firstFree = n
+	for lvl := range a.probs {
+		a.probs[lvl] = a.inclusionProb(lvl)
+	}
 	// The degree array is the algorithm's defining Θ(m) state; the three
 	// per-element structures are the Õ(n) bookkeeping every regime carries.
 	a.StateMeter.Add(int64(m))
@@ -153,24 +161,24 @@ func (a *Algorithm) inclusionProb(level int) float64 {
 // Process implements stream.Algorithm.
 func (a *Algorithm) Process(e stream.Edge) { a.process(e) }
 
-// ProcessBatch implements stream.BatchProcessor via the word-parallel batch
-// kernels (internal/dense): edges are staged into a per-element id block,
-// two gather passes pack "still uncovered" and "first set unrecorded" into
-// mask words — 64 edges per word — and only the set bits run the per-edge
-// body. An edge is a guaranteed no-op exactly when its element is covered
-// AND has a first-set record; both predicates are monotone, so stage-time
-// masks over-approximate activity and the body's exact re-checks keep the
-// batched path byte-identical to per-edge Process (same writes, coin flips,
-// events — the equivalence tests in the repository root hold the two paths
-// together). A fully saturated block (coveredCount == n, no missing first
-// records) is skipped with one compare.
+// ProcessBatch implements stream.BatchProcessor. Each block runs under one
+// of three schedules, chosen from the algorithm's own state and
+// byte-identical to per-edge Process (same writes, coin flips and events;
+// the equivalence tests in the repository root and the resume tests here
+// hold them together). All of them hand a level-up to levelUp.
 //
-// The kernel only pays off once the activity masks are mostly zero: while
-// coverage is still sparse, nearly every edge carries work and the staging
-// and gather passes are pure overhead on top of the body. processBlock
-// therefore runs the plain hoisted loop below kkDenseCoverage and switches
-// to the word-parallel path above it — a schedule choice between two
-// byte-identical computations, driven only by the algorithm's own state.
+//   - cold (coldBlock), until the first set is sampled: sol is empty and
+//     nothing is covered, so an edge only records R(u) and bumps d(S).
+//   - plain (plainBlock), below kkDenseCoverage: nearly every edge carries
+//     work, so the per-edge body runs with the arrays hoisted into locals.
+//   - mask, above it: edges are staged into a per-element id block, two
+//     gather passes (internal/dense) pack "still uncovered" and "first set
+//     unrecorded" into mask words — 64 edges per word — and only the set
+//     bits run the per-edge body. Both predicates are monotone, so the
+//     stage-time masks over-approximate activity and the body's exact
+//     re-checks keep the path byte-identical. A fully saturated block
+//     (coveredCount == n, no missing first records) is skipped with one
+//     compare.
 func (a *Algorithm) ProcessBatch(edges []stream.Edge) {
 	for len(edges) > 0 {
 		k := len(edges)
@@ -188,6 +196,11 @@ func (a *Algorithm) ProcessBatch(edges []stream.Edge) {
 const kkDenseCoverage = 63 // ≈ 98%
 
 func (a *Algorithm) processBlock(edges []stream.Edge) {
+	if a.solCount == 0 {
+		if edges = a.coldBlock(edges); len(edges) == 0 {
+			return
+		}
+	}
 	k := len(edges)
 	if a.coveredCount == a.n && a.firstFree == 0 {
 		a.pos += int64(k)
@@ -220,7 +233,7 @@ func (a *Algorithm) processBlock(edges []stream.Edge) {
 
 	first, covered, cert, deg := a.first, a.covered, a.cert, a.deg
 	sol := a.sol
-	sqrtN := a.sqrtN
+	sqrtN := int32(a.sqrtN)
 	base := a.pos
 	for w := 0; w < words; w++ {
 		m := act[w]
@@ -245,29 +258,41 @@ func (a *Algorithm) processBlock(edges []stream.Edge) {
 			if covered[u] {
 				continue
 			}
-			d := deg[s] + 1
-			if int(d&degLowMask) != sqrtN {
+			if d := deg[s] + 1; d&degLowMask != sqrtN {
 				deg[s] = d
-				continue
-			}
-			level := int(d>>degLevelShift) + 1
-			deg[s] = int32(level) << degLevelShift
-			a.sink.Emit(obs.KindLevelUp, pos, int64(s), int64(level), int64(level-1))
-			if a.rng.Coin(a.inclusionProb(level)) {
-				sol.Set(s)
-				a.solCount++
-				a.StateMeter.Add(space.SetEntryWords)
-				covered[u] = true
-				a.coveredCount++
-				cert[u] = s
-				a.sink.Emit(obs.KindSetSelected, pos, int64(s), int64(a.solCount), int64(level))
-				a.sink.Emit(obs.KindCertWrite, pos, int64(u), int64(s), -1)
 			} else {
-				a.sink.Emit(obs.KindSampleDrop, pos, int64(s), int64(level), 0)
+				a.levelUp(u, s, d, pos)
 			}
 		}
 	}
 	a.pos = base + int64(k)
+}
+
+// coldBlock is the schedule before the first sample. With sol empty no edge
+// meets a sampled set and no element is covered, so the per-edge body
+// shrinks to the first-record check and the degree bump. It returns the
+// edges after the one whose coin selected the first set, or none if no
+// coin did.
+func (a *Algorithm) coldBlock(edges []stream.Edge) []stream.Edge {
+	first, deg := a.first, a.deg
+	sqrtN := int32(a.sqrtN)
+	pos := a.pos
+	for i, e := range edges {
+		pos++
+		u, s := e.Elem, e.Set
+		if first[u] == setcover.NoSet {
+			first[u] = s
+			a.firstFree--
+		}
+		if d := deg[s] + 1; d&degLowMask != sqrtN {
+			deg[s] = d
+		} else if a.levelUp(u, s, d, pos) {
+			a.pos = pos
+			return edges[i+1:]
+		}
+	}
+	a.pos = pos
+	return nil
 }
 
 // plainBlock is the sparse-coverage schedule: the per-edge body with the
@@ -277,7 +302,7 @@ func (a *Algorithm) processBlock(edges []stream.Edge) {
 func (a *Algorithm) plainBlock(edges []stream.Edge) {
 	first, covered, cert, deg := a.first, a.covered, a.cert, a.deg
 	sol := a.sol
-	sqrtN := a.sqrtN
+	sqrtN := int32(a.sqrtN)
 	pos := a.pos
 	for _, e := range edges {
 		pos++
@@ -298,25 +323,10 @@ func (a *Algorithm) plainBlock(edges []stream.Edge) {
 		if covered[u] {
 			continue
 		}
-		d := deg[s] + 1
-		if int(d&degLowMask) != sqrtN {
+		if d := deg[s] + 1; d&degLowMask != sqrtN {
 			deg[s] = d
-			continue
-		}
-		level := int(d>>degLevelShift) + 1
-		deg[s] = int32(level) << degLevelShift
-		a.sink.Emit(obs.KindLevelUp, pos, int64(s), int64(level), int64(level-1))
-		if a.rng.Coin(a.inclusionProb(level)) {
-			sol.Set(s)
-			a.solCount++
-			a.StateMeter.Add(space.SetEntryWords)
-			covered[u] = true
-			a.coveredCount++
-			cert[u] = s
-			a.sink.Emit(obs.KindSetSelected, pos, int64(s), int64(a.solCount), int64(level))
-			a.sink.Emit(obs.KindCertWrite, pos, int64(u), int64(s), -1)
 		} else {
-			a.sink.Emit(obs.KindSampleDrop, pos, int64(s), int64(level), 0)
+			a.levelUp(u, s, d, pos)
 		}
 	}
 	a.pos = pos
@@ -341,27 +351,41 @@ func (a *Algorithm) process(e stream.Edge) {
 	if a.covered[u] {
 		return
 	}
-	d := a.deg[s] + 1
-	if int(d&degLowMask) != a.sqrtN {
+	if d := a.deg[s] + 1; d&degLowMask != int32(a.sqrtN) {
 		a.deg[s] = d
-		return
+	} else {
+		a.levelUp(u, s, d, a.pos)
 	}
-	// d(S) reached the next multiple of √n: bump the level, reset low.
+}
+
+// levelUp runs when edge (S, u) at stream position pos takes d(S) to the
+// next multiple of √n; d is the packed degree after the increment. It bumps
+// S's level, resets its low count, and flips the level's inclusion coin: on
+// heads S joins the solution and covers u. It reports whether S was
+// sampled.
+func (a *Algorithm) levelUp(u, s, d int32, pos int64) bool {
 	level := int(d>>degLevelShift) + 1
 	a.deg[s] = int32(level) << degLevelShift
-	a.sink.Emit(obs.KindLevelUp, a.pos, int64(s), int64(level), int64(level-1))
-	if a.rng.Coin(a.inclusionProb(level)) {
-		a.sol.Set(s)
-		a.solCount++
-		a.StateMeter.Add(space.SetEntryWords)
-		a.covered[u] = true
-		a.coveredCount++
-		a.cert[u] = s
-		a.sink.Emit(obs.KindSetSelected, a.pos, int64(s), int64(a.solCount), int64(level))
-		a.sink.Emit(obs.KindCertWrite, a.pos, int64(u), int64(s), -1)
+	a.sink.Emit(obs.KindLevelUp, pos, int64(s), int64(level), int64(level-1))
+	var p float64
+	if level < len(a.probs) {
+		p = a.probs[level]
 	} else {
-		a.sink.Emit(obs.KindSampleDrop, a.pos, int64(s), int64(level), 0)
+		p = a.inclusionProb(level)
 	}
+	if !a.rng.Coin(p) {
+		a.sink.Emit(obs.KindSampleDrop, pos, int64(s), int64(level), 0)
+		return false
+	}
+	a.sol.Set(s)
+	a.solCount++
+	a.StateMeter.Add(space.SetEntryWords)
+	a.covered[u] = true
+	a.coveredCount++
+	a.cert[u] = s
+	a.sink.Emit(obs.KindSetSelected, pos, int64(s), int64(a.solCount), int64(level))
+	a.sink.Emit(obs.KindCertWrite, pos, int64(u), int64(s), -1)
+	return true
 }
 
 // deg packing: low 16 bits count within the current level, high bits hold
@@ -435,16 +459,16 @@ func (a *Algorithm) LevelCounts() []int {
 	return a.computeLevelCounts()
 }
 
+// computeLevelCounts builds the histogram in one pass over deg, growing it
+// when a set sits above every level seen so far.
 func (a *Algorithm) computeLevelCounts() []int {
-	maxLvl := -1
+	var counts []int
 	for _, d := range a.deg {
-		if lvl := int(d >> degLevelShift); lvl > maxLvl {
-			maxLvl = lvl
+		lvl := int(d >> degLevelShift)
+		if lvl >= len(counts) {
+			counts = append(counts, make([]int, lvl+1-len(counts))...)
 		}
-	}
-	counts := make([]int, maxLvl+1)
-	for _, d := range a.deg {
-		counts[int(d>>degLevelShift)]++
+		counts[lvl]++
 	}
 	return counts
 }

@@ -70,13 +70,34 @@ func (a *Algorithm) Restore(rd io.Reader) error {
 	snap.LoadSetIDsInto(r, a.cert, a.m)
 	a.patched = r.Int()
 	snap.LoadTracked(r, &a.Tracked)
-	// firstFree is derived state (the batch kernels' fast-path counter), not
-	// part of the SCSTATE1 layout: recompute it from the restored records.
+	if err := r.Close(); err != nil {
+		return err
+	}
+	// processBlock picks its schedule from solCount, coveredCount and
+	// firstFree, so they must agree with the arrays they count, or
+	// ProcessBatch would diverge from Process. firstFree is not part of the
+	// SCSTATE1 layout: recompute it. The stored counters are checked, and
+	// so is the invariant the cold schedule relies on: every covered
+	// element's witness is a sampled set.
 	a.firstFree = 0
 	for _, s := range a.first {
 		if s == setcover.NoSet {
 			a.firstFree++
 		}
 	}
-	return r.Close()
+	covered := 0
+	for u, c := range a.covered {
+		if !c {
+			continue
+		}
+		covered++
+		if s := a.cert[u]; s == setcover.NoSet || !a.sol.Test(s) {
+			return fmt.Errorf("%w: kk element %d is covered by unsampled set %d", snap.ErrCorrupt, u, s)
+		}
+	}
+	if sol := a.sol.Count(); a.solCount != sol || a.coveredCount != covered {
+		return fmt.Errorf("%w: kk counters solCount=%d coveredCount=%d, state holds %d sets and %d covered elements",
+			snap.ErrCorrupt, a.solCount, a.coveredCount, sol, covered)
+	}
+	return nil
 }

@@ -52,9 +52,14 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+// newClient is Dial on an open connection.
+func newClient(conn net.Conn) *Client {
 	c := &Client{conn: conn, f: clientFrames.Get(conn)}
 	c.f.QueueRaw(magicBytes)
-	return c, nil
+	return c
 }
 
 // Close drops the connection without detaching. The server notices the

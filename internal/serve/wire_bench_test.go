@@ -1,17 +1,25 @@
 package serve
 
-// Rung L1 of the serving ledger (DESIGN.md §4j): the SCWIRE1 edge codec on
-// its own, over servebench's session stream — the planted n=300, m=4000,
-// opt=8 instance in random order at seed 1 (72,156 edges), cut into
-// 1024-edge frames. Encode is the client's work per frame: writeEdges
-// sealing the frame (varints and CRC) into a pooled, coalescing frame.IO.
-// Decode is the server's: a pooled frame.IO read (CRC check) plus
-// parseEdgesInto into a MaxBatch edge buffer. Both report ns/edge and
-// allocate nothing per op.
+// Rungs L1 and L3 of the serving ledger (DESIGN.md §4j), over servebench's
+// session stream — the planted n=300, m=4000, opt=8 instance in random
+// order at seed 1 (72,156 edges), cut into 1024-edge frames.
+//
+// L1 is the SCWIRE1 edge codec on its own. Encode is the client's work per
+// frame: writeEdges sealing the frame (varints and CRC) into a pooled,
+// coalescing frame.IO. Decode is the server's: a pooled frame.IO read (CRC
+// check) plus parseEdgesInto into a MaxBatch edge buffer. Both report
+// ns/edge and allocate nothing per op.
+//
+// L3 (BenchmarkWireEdgesPipe) is one whole kk session over net.Pipe: a
+// Client drives Server.handle through hello, the frames and finish, so the
+// rung holds frame I/O, codec, lifecycle and kernel but no TCP. L4 − L3 is
+// what loopback TCP costs.
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net"
 	"testing"
 
 	"streamcover/internal/frame"
@@ -100,6 +108,47 @@ func BenchmarkWireEdgesDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		decode()
+	}
+	reportNsPerEdge(b, len(edges))
+}
+
+func BenchmarkWireEdgesPipe(b *testing.B) {
+	edges := benchWireStream()
+	cfg := Config{Algo: "kk", N: benchN, M: benchM, StreamLen: len(edges), Seed: 1}
+	want := localReference(b, cfg, edges).Fingerprint()
+	srv, err := NewServer(ServerConfig{Store: NewMemStore()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fd := Feeder{Edges: edges, Batch: benchFrameEdges}
+	session := func(i int) {
+		cc, sc := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.handle(sc)
+		}()
+		c := newClient(cc)
+		defer func() {
+			c.Close()
+			<-done
+		}()
+		if _, err := c.Hello(fmt.Sprintf("pipe-%d", i), cfg); err != nil {
+			b.Fatal(err)
+		}
+		res, err := fd.Run(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fp := res.Fingerprint(); fp != want {
+			b.Fatalf("session fingerprint %016x, want %016x", fp, want)
+		}
+	}
+	session(-1) // warm the frame pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		session(i)
 	}
 	reportNsPerEdge(b, len(edges))
 }

@@ -56,11 +56,28 @@ func perfCase(alg string, order Order) (Algorithm, []Edge) {
 	}
 }
 
+// batchSized drives an algorithm's ProcessBatch in chunks of size edges:
+// the driver honours stream.BatchSizer, and a non-positive size leaves it at
+// its default, stream.BatchSize.
+type batchSized struct {
+	batchAlgorithm
+	size int
+}
+
+type batchAlgorithm interface {
+	stream.Algorithm
+	stream.BatchProcessor
+	space.Reporter
+}
+
+func (b batchSized) BatchSize() int { return b.size }
+
 // TestBatchedMatchesPerEdge drives every algorithm over every arrival order
-// twice — once through ProcessBatch, once edge at a time — with identical
-// seeds and asserts byte-identical observable output: chosen sets,
-// certificate, edge count, space report, and (for Algorithm 1) the full
-// execution trace.
+// edge at a time and through ProcessBatch in three batch sizes — RunEdges'
+// default (stream.BatchSize, 4096), 1, and a served session's 1024-edge
+// frame — with identical seeds, and asserts byte-identical observable
+// output: chosen sets, certificate, edge count, space report, the
+// decision-event stream, and (for Algorithm 1) the full execution trace.
 func TestBatchedMatchesPerEdge(t *testing.T) {
 	for _, algName := range []string{"kk", "alg1", "alg2"} {
 		for _, order := range Orders() {
@@ -68,15 +85,7 @@ func TestBatchedMatchesPerEdge(t *testing.T) {
 				// Each run gets a private hub so the decision-event streams
 				// (which the batched contract also covers) can be compared.
 				const ringCap = 1 << 18
-				batchedAlg, edges := perfCase(algName, order)
-				if _, ok := batchedAlg.(stream.BatchProcessor); !ok {
-					t.Fatalf("%s does not implement stream.BatchProcessor", algName)
-				}
-				batchedHub := obs.NewHub(ringCap)
-				attachSink(t, batchedHub, batchedAlg)
-				batched := RunEdges(batchedAlg, edges)
-
-				perEdgeAlg, _ := perfCase(algName, order)
+				perEdgeAlg, edges := perfCase(algName, order)
 				perEdgeHub := obs.NewHub(ringCap)
 				attachSink(t, perEdgeHub, perEdgeAlg)
 				wrapped := perEdgeOnly{perEdgeAlg, perEdgeAlg.(space.Reporter)}
@@ -84,40 +93,52 @@ func TestBatchedMatchesPerEdge(t *testing.T) {
 					t.Fatal("perEdgeOnly wrapper leaks ProcessBatch")
 				}
 				perEdge := RunEdges(wrapped, edges)
+				evB := perEdgeHub.Ring().Events()
 
-				if !slices.Equal(batched.Cover.Sets, perEdge.Cover.Sets) {
-					t.Errorf("cover sets differ: batched %v, per-edge %v",
-						batched.Cover.Sets, perEdge.Cover.Sets)
-				}
-				if !slices.Equal(batched.Cover.Certificate, perEdge.Cover.Certificate) {
-					t.Error("certificates differ")
-				}
-				if batched.Edges != perEdge.Edges {
-					t.Errorf("edge counts differ: batched %d, per-edge %d", batched.Edges, perEdge.Edges)
-				}
-				if batched.Space != perEdge.Space {
-					t.Errorf("space reports differ: batched %+v, per-edge %+v", batched.Space, perEdge.Space)
-				}
-				if algName == "alg1" {
-					ta := batchedAlg.(*RandomOrderAlg).Trace()
-					tb := perEdgeAlg.(*RandomOrderAlg).Trace()
-					if !reflect.DeepEqual(ta, tb) {
-						t.Errorf("traces differ:\nbatched:  %+v\nper-edge: %+v", ta, tb)
+				for _, size := range []int{0, 1, 1024} {
+					batchedAlg, _ := perfCase(algName, order)
+					bp, ok := batchedAlg.(batchAlgorithm)
+					if !ok {
+						t.Fatalf("%s does not implement stream.BatchProcessor", algName)
 					}
-				}
-				// The decision-event streams must match event for event.
-				if a, b := batchedHub.Ring().Recorded(), perEdgeHub.Ring().Recorded(); a != b {
-					t.Errorf("decision-event counts differ: batched %d, per-edge %d", a, b)
-				}
-				evA, evB := batchedHub.Ring().Events(), perEdgeHub.Ring().Events()
-				if !reflect.DeepEqual(evA, evB) {
-					n := min(len(evA), len(evB))
-					for i := 0; i < n; i++ {
-						if evA[i] != evB[i] {
-							t.Fatalf("decision event %d differs:\nbatched:  %+v\nper-edge: %+v", i, evA[i], evB[i])
+					batchedHub := obs.NewHub(ringCap)
+					attachSink(t, batchedHub, batchedAlg)
+					batched := RunEdges(batchSized{bp, size}, edges)
+
+					if !slices.Equal(batched.Cover.Sets, perEdge.Cover.Sets) {
+						t.Errorf("batch %d: cover sets differ: batched %v, per-edge %v",
+							size, batched.Cover.Sets, perEdge.Cover.Sets)
+					}
+					if !slices.Equal(batched.Cover.Certificate, perEdge.Cover.Certificate) {
+						t.Errorf("batch %d: certificates differ", size)
+					}
+					if batched.Edges != perEdge.Edges {
+						t.Errorf("batch %d: edge counts differ: batched %d, per-edge %d", size, batched.Edges, perEdge.Edges)
+					}
+					if batched.Space != perEdge.Space {
+						t.Errorf("batch %d: space reports differ: batched %+v, per-edge %+v", size, batched.Space, perEdge.Space)
+					}
+					if algName == "alg1" {
+						ta := batchedAlg.(*RandomOrderAlg).Trace()
+						tb := perEdgeAlg.(*RandomOrderAlg).Trace()
+						if !reflect.DeepEqual(ta, tb) {
+							t.Errorf("batch %d: traces differ:\nbatched:  %+v\nper-edge: %+v", size, ta, tb)
 						}
 					}
-					t.Fatalf("decision traces differ in length: batched %d, per-edge %d", len(evA), len(evB))
+					// The decision-event streams must match event for event.
+					if a, b := batchedHub.Ring().Recorded(), perEdgeHub.Ring().Recorded(); a != b {
+						t.Errorf("batch %d: decision-event counts differ: batched %d, per-edge %d", size, a, b)
+					}
+					evA := batchedHub.Ring().Events()
+					if !reflect.DeepEqual(evA, evB) {
+						n := min(len(evA), len(evB))
+						for i := 0; i < n; i++ {
+							if evA[i] != evB[i] {
+								t.Fatalf("batch %d: decision event %d differs:\nbatched:  %+v\nper-edge: %+v", size, i, evA[i], evB[i])
+							}
+						}
+						t.Fatalf("batch %d: decision traces differ in length: batched %d, per-edge %d", size, len(evA), len(evB))
+					}
 				}
 			})
 		}

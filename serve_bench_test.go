@@ -67,6 +67,7 @@ func benchServeSessions(b *testing.B, so *obs.ServeObs, sessions int) {
 	}()
 
 	b.ResetTimer()
+	cpu0 := cpuSeconds()
 	for i := 0; i < b.N; i++ {
 		var wg sync.WaitGroup
 		errs := make([]error, sessions)
@@ -103,7 +104,7 @@ func benchServeSessions(b *testing.B, so *obs.ServeObs, sessions int) {
 			}
 		}
 	}
-	reportThroughput(b, len(edges)*sessions)
+	reportThroughput(b, len(edges)*sessions, cpu0)
 	b.ReportMetric(float64(sessions), "sessions/op")
 }
 
