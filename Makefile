@@ -16,14 +16,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Snapshot the perf-tracked benchmarks (EndToEnd*, Scaling, Adoption, the
-# Checkpoint* SCCKPT1 codec rungs, and WireEdges*, the SCWIRE1 edge codec
-# and net.Pipe session rungs in internal/serve) into the next BENCH_<n>.json; three -count samples are folded to the per-benchmark
-# noise floor (min ns/op, max throughput) by scbenchdiff. bench-diff compares
-# the two most recent snapshots and fails on ns/op, allocs/op or throughput
-# regression beyond the threshold.
+# Snapshot the perf-tracked benchmarks (EndToEnd*, FileReplay, the on-disk
+# SCSTRM1 replay, Scaling, Adoption, the Checkpoint* SCCKPT1 codec rungs,
+# and WireEdges*, the SCWIRE1 edge codec and net.Pipe session rungs in
+# internal/serve) into the next BENCH_<n>.json; three -count samples are
+# folded to the per-benchmark noise floor (min ns/op, max throughput) by
+# scbenchdiff. bench-diff compares the two most recent snapshots and fails
+# on ns/op, allocs/op or throughput regression beyond the threshold.
 bench-save:
-	$(GO) test -run '^$$' -bench 'EndToEnd|Scaling|Adoption|Checkpoint|WireEdges' -benchmem -count 3 . ./internal/serve/ | $(GO) run ./cmd/scbenchdiff -save
+	$(GO) test -run '^$$' -bench 'EndToEnd|FileReplay|Scaling|Adoption|Checkpoint|WireEdges' -benchmem -count 3 . ./internal/serve/ | $(GO) run ./cmd/scbenchdiff -save
 
 bench-diff:
 	$(GO) run ./cmd/scbenchdiff -diff
@@ -39,8 +40,8 @@ experiments-full:
 # and builds with and without the observability layer, the race-enabled
 # test suite, the suite again with observability compiled out (obsoff), a
 # one-iteration smoke of the perf-tracked benchmarks (the in-process
-# EndToEnd rows and the WireEdges serving rungs), and the one multi-process
-# harness.
+# EndToEnd and FileReplay rows and the WireEdges serving rungs), and the one
+# multi-process harness.
 check:
 	$(GO) vet ./...
 	$(GO) vet -tags obsoff ./...
@@ -48,7 +49,7 @@ check:
 	$(GO) build -tags obsoff ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -tags obsoff ./...
-	$(GO) test -run '^$$' -bench EndToEnd -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'EndToEnd|FileReplay' -benchtime 1x .
 	$(GO) test -run '^$$' -bench WireEdges -benchtime 1x ./internal/serve/
 	$(MAKE) cluster-smoke
 
@@ -67,14 +68,14 @@ cluster-smoke:
 	$(GO) run ./internal/tools/clustersmoke
 
 # Run every fuzz target for a ~10s budget each: the stream codec, the
-# prefetch pipeline, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
+# on-disk File reader, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
 # decoders, alg1's trace-section decoder, and the SCWIRE1, SCSTOR1 and
 # SCRING1 parsers (go test allows one -fuzz target per invocation).
 # Minimizing a new interesting input is capped at 1s, so the budget goes to
 # new inputs rather than to shrinking one large mutant.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
-	$(GO) test -fuzz FuzzPrefetchedFile -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
+	$(GO) test -fuzz FuzzFile -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzValidate -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/orlib/
 	$(GO) test -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 1s ./internal/snap/

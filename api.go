@@ -310,35 +310,19 @@ func RunSetArrivalMultiPass(t *SetArrivalMultiPass, s Stream) (*Cover, error) {
 }
 
 // OpenStreamFile opens an on-disk stream file (scgen's format) for lazy,
-// larger-than-memory replay. The magic and header are validated up front;
-// the CRC-32 checksum is folded into the first replay pass and surfaces as
-// ErrStreamCorrupt from the stream's Err method (and Result.Err) when the
-// pass completes — pass FileOptions{EagerVerify: true} to OpenStreamFileWith
-// for the old pay-up-front scan.
+// larger-than-memory replay, decoded batch-at-a-time from a read window.
+// The magic and header are validated up front; the CRC-32 checksum is
+// folded into the first replay pass and surfaces as ErrStreamCorrupt from
+// the stream's Err method (and Result.Err) when that pass completes. A
+// clean pass marks the file verified, so later passes (Reset) skip the
+// hashing.
 func OpenStreamFile(path string) (*stream.File, error) { return stream.OpenFile(path) }
-
-// FileOptions tune OpenStreamFileWith (eager verification, window size).
-type FileOptions = stream.FileOptions
-
-// OpenStreamFileWith opens an on-disk stream file with explicit options.
-func OpenStreamFileWith(path string, opt FileOptions) (*stream.File, error) {
-	return stream.OpenFileWith(path, opt)
-}
 
 // ErrStreamCorrupt reports a malformed or checksum-failing stream file.
 var ErrStreamCorrupt = stream.ErrCorrupt
 
-// StreamPrefetcher decodes a stream on a background goroutine into a small
-// ring of reusable batch buffers, overlapping decode with algorithm work.
-// It preserves the exact edge order of the wrapped stream.
-type StreamPrefetcher = stream.Prefetcher
-
-// NewStreamPrefetcher wraps s in a background prefetcher with the default
-// ring depth and batch length. Close it when done to stop the goroutine.
-func NewStreamPrefetcher(s Stream) *StreamPrefetcher { return stream.NewPrefetcher(s) }
-
 // StreamErr reports the sticky decode error of a stream, if it exposes one
-// (lazily verified files, prefetchers); nil otherwise.
+// (a lazily verified file from OpenStreamFile); nil otherwise.
 func StreamErr(s Stream) error { return stream.StreamErr(s) }
 
 // ORLibInstance is a parsed OR-Library SCP benchmark instance (columns

@@ -42,18 +42,16 @@ func main() {
 	fmt.Printf("stream file: %d edges, %d bytes on disk (checksum verified during the first pass)\n\n", len(edges), info.Size())
 
 	// One-pass replay from disk: Algorithm 1 never sees more than one edge
-	// at a time. The file is opened with a single scan — the CRC-32 check is
-	// folded into this replay and surfaces in Result.Err — and a background
-	// prefetcher overlaps decoding with the algorithm's work.
+	// at a time. The file is opened with a single scan and decoded a batch
+	// at a time from a read window; the CRC-32 check is folded into this
+	// replay and surfaces in Result.Err.
 	fs, err := streamcover.OpenStreamFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer fs.Close()
-	pf := streamcover.NewStreamPrefetcher(fs)
-	defer pf.Close()
 	alg := streamcover.NewRandomOrder(hdr.N, hdr.M, hdr.E, rng.Split())
-	res := streamcover.Run(alg, pf)
+	res := streamcover.Run(alg, fs)
 	if res.Err != nil {
 		log.Fatal(res.Err) // corrupt or truncated stream file
 	}
@@ -62,10 +60,10 @@ func main() {
 	}
 	fmt.Printf("alg1 (one pass from disk):   %3d sets, %v\n", res.Cover.Size(), res.Space)
 
-	// Multi-pass replay: the prefetched file is Reset and re-read per round
-	// (later passes skip the checksum work — the file verified clean once).
-	pf.Reset()
-	mp, err := streamcover.RunMultiPass(hdr.N, hdr.M, pf,
+	// Multi-pass replay: the file is Reset and re-read per round (later
+	// passes skip the checksum work — the file verified clean once).
+	fs.Reset()
+	mp, err := streamcover.RunMultiPass(hdr.N, hdr.M, fs,
 		streamcover.MultiPassOptions{SampleBudget: 100}, rng.Split())
 	if err != nil {
 		log.Fatal(err)

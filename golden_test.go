@@ -92,13 +92,12 @@ func TestGoldenOutputsMatchSeedImplementation(t *testing.T) {
 	}
 }
 
-// TestGoldenOutputsThroughPrefetchedFile drives the identical golden cases
-// through the full pipelined ingestion path — encoded stream file, lazily
-// CRC-verified File, background Prefetcher — and demands the exact same
-// fingerprints. Prefetching reorders work across goroutines but must never
-// reorder edges, so any deviation from goldenExpected here is a pipelining
-// bug, not a tolerance question.
-func TestGoldenOutputsThroughPrefetchedFile(t *testing.T) {
+// TestGoldenOutputsThroughFile drives the identical golden cases through the
+// on-disk ingestion path — encoded stream file, lazily CRC-verified File,
+// windowed batch decode — and demands the exact same fingerprints. Any
+// deviation from goldenExpected here is a codec or File bug, not a
+// tolerance question.
+func TestGoldenOutputsThroughFile(t *testing.T) {
 	const n, m, opt = 300, 4000, 8
 	w := PlantedWorkload(NewRand(11), n, m, opt, 0)
 	dir := t.TempDir()
@@ -120,14 +119,12 @@ func TestGoldenOutputsThroughPrefetchedFile(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer fs.Close()
-				pf := NewStreamPrefetcher(fs)
-				defer pf.Close()
-				res := Run(goldenAlg(alg, n, m, len(edges), 42), pf)
+				res := Run(goldenAlg(alg, n, m, len(edges), 42), fs)
 				if res.Err != nil {
-					t.Fatalf("prefetched run failed: %v", res.Err)
+					t.Fatalf("file run failed: %v", res.Err)
 				}
 				if got, want := goldenFingerprint(res), goldenExpected[key]; got != want {
-					t.Fatalf("prefetched-file fingerprint %#x, want %#x — pipelining changed observable output", got, want)
+					t.Fatalf("file fingerprint %#x, want %#x — on-disk ingestion changed observable output", got, want)
 				}
 			})
 		}

@@ -29,7 +29,6 @@ type Hub struct {
 	mu       sync.Mutex
 	sinks    [numAlgos]*Sink
 	runObs   [numAlgos]*RunObs
-	prefetch *PrefetchObs
 	serve    *ServeObs
 	router   *RouterObs
 	sessions *SessionTable
@@ -122,27 +121,6 @@ func (h *Hub) RunObs(algo AlgoID) *RunObs {
 		h.runObs[algo] = newRunObs(algo, h.reg)
 	}
 	return h.runObs[algo]
-}
-
-// Prefetch returns the hub's prefetch-pipeline handle, creating it on first
-// use. Like sinks it is a singleton per hub: every Prefetcher in the process
-// feeds the same series.
-func (h *Hub) Prefetch() *PrefetchObs {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.prefetch == nil {
-		h.prefetch = NewPrefetchObs(h.reg)
-	}
-	return h.prefetch
-}
-
-// PrefetchObsFor returns the global hub's prefetch handle, or nil when no
-// hub is installed.
-func PrefetchObsFor() *PrefetchObs {
-	return Global().Prefetch()
 }
 
 // Serve returns the hub's serving-layer handle, creating it on first use.

@@ -37,7 +37,8 @@
 //
 // Client→server frame types: hello (open a new session), edges (one batch
 // of uvarint-encoded (set, elem) pairs, the same varint edge encoding as
-// the SCSTRM1 file codec), flush (request a position ack once everything
+// the SCSTRM1 file codec, coded by stream.AppendEdges and
+// stream.DecodeEdges), flush (request a position ack once everything
 // queued so far has been processed), finish (finish the algorithm and
 // return the result), resume (reattach to a detached session from its
 // SCCKPT1 checkpoint), and detach (graceful disconnect: checkpoint now and

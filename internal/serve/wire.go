@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"streamcover/internal/frame"
 	"streamcover/internal/obs"
@@ -137,49 +136,23 @@ func parseOpening(payload []byte) (resume bool, token string, trace obs.TraceID,
 	return false, "", trace, cfg, fmt.Errorf("%w: connection must open with hello or resume, got frame 0x%02x", ErrWire, payload[0])
 }
 
-// writeEdges sends one edge batch using the SCSTRM1 varint edge encoding
-// (uvarint set, uvarint elem per edge). It grows the frame buffer once, to
-// the batch's worst case of two maximal varints per edge, and writes by
-// index. An edge whose set and element both lie in [0, 2^14) — one or two
-// bytes each — is written with no branch on either width: the continuation
-// bit is computed, both encodings go out in one 4-byte store, and the
-// cursor advances by the widths actually used. Any other edge (wider IDs,
-// or negative ones, which sign-extend to 10-byte varints) falls back to
-// binary.PutUvarint. The bytes are binary.AppendUvarint's, pinned by
+// writeEdges sends one edge batch in the SCSTRM1 varint edge encoding
+// (uvarint set, uvarint elem per edge), written by stream.AppendEdges. The
+// bytes are binary.AppendUvarint's, pinned by
 // TestWriteEdgesMatchesReference.
 func writeEdges(f *frame.IO, edges []stream.Edge) error {
 	if len(edges) == 0 || len(edges) > MaxBatch {
 		return fmt.Errorf("%w: edge batch of %d (limit %d)", ErrWire, len(edges), MaxBatch)
 	}
 	b := frame.AppendUvarint(append(f.Begin(), frameEdges), uint64(len(edges)))
-	at := len(b)
-	worst := 2 * binary.MaxVarintLen64 * len(edges)
-	b = slices.Grow(b, worst)[:at+worst]
-	for _, e := range edges {
-		s, u := uint32(e.Set), uint32(e.Elem)
-		if s|u >= 1<<14 {
-			at += binary.PutUvarint(b[at:], uint64(e.Set))
-			at += binary.PutUvarint(b[at:], uint64(e.Elem))
-			continue
-		}
-		cs, cu := (s+0x3f80)>>14, (u+0x3f80)>>14 // 1 iff the ID needs 2 bytes
-		ws := 1 + cs
-		binary.LittleEndian.PutUint32(b[at:at+4:at+4], uvarint14(s, cs)|uvarint14(u, cu)<<(8*ws&31))
-		at += int(ws + 1 + cu)
-	}
-	return f.End(b[:at])
+	return f.End(stream.AppendEdges(b, edges))
 }
-
-// uvarint14 is the uvarint encoding of v < 2^14 as a little-endian uint16,
-// given c, 1 iff v needs a second byte: the low 7 bits with the
-// continuation bit c, then the high 7 bits (zero when c is 0).
-func uvarint14(v, c uint32) uint32 { return v&0x7f | c<<7 | v>>7<<8 }
 
 // parseEdgesInto decodes an edges body into dst, validating the count
 // against the session edge buffer's capacity and every edge against the
 // session shape. It returns the number of edges decoded.
 //
-// decodeEdgesFast takes every edge it can. The per-edge binary.Uvarint
+// stream.DecodeEdges takes every edge it can. The per-edge binary.Uvarint
 // loop here takes the rest (the last few edges of the body, and any edge
 // the kernel stops before) and produces every rejection. Semantics are
 // pinned to the per-edge reference decoder by
@@ -196,7 +169,7 @@ func parseEdgesInto(body []byte, dst []stream.Edge, n, m int) (int, error) {
 	um, un := uint64(m), uint64(n)
 	pos := 0
 	for i := 0; i < len(dst); i++ {
-		d, next := decodeEdgesFast(b, pos, dst[i:], um, un)
+		d, next := stream.DecodeEdges(b, pos, dst[i:], um, un)
 		if i, pos = i+d, next; i == len(dst) {
 			break
 		}
@@ -219,53 +192,6 @@ func parseEdgesInto(body []byte, dst []stream.Edge, n, m int) (int, error) {
 		return 0, fmt.Errorf("%w: %d trailing bytes in frame", ErrWire, len(b)-pos)
 	}
 	return len(dst), nil
-}
-
-// decodeEdgesFast decodes edges from b[pos:] into dst while a worst-case
-// edge (two maximal varints) fits in what is left of b, and returns how
-// many it decoded and the position after them. It stops before an edge
-// that is truncated, overflows, or has a set not below um or an element
-// not below un, leaving its rejection to the caller.
-//
-// Each step loads the edge's first 4 bytes. When neither varint runs past
-// 2 bytes, as for every ID below 2^14, it takes each width from the first
-// byte's continuation bit instead of branching on it, so IDs on both sides
-// of the 1/2-byte boundary at 128 cost no mispredicted branches. The one
-// branch on the bytes, predictable on real streams, sends an edge with a
-// wider varint to binary.Uvarint. The load slices b[pos : pos+4 : pos+4]:
-// with a constant capacity the compiler skips the pointer masking that
-// b[pos:] would add to the loop-carried chain through pos.
-func decodeEdgesFast(b []byte, pos int, dst []stream.Edge, um, un uint64) (int, int) {
-	end := len(b) - 2*binary.MaxVarintLen64
-	for i := range dst {
-		if pos > end {
-			return i, pos
-		}
-		x := binary.LittleEndian.Uint32(b[pos : pos+4 : pos+4])
-		cs := x >> 7 & 1
-		y := x >> (8 << cs & 31) // the element's bytes
-		cu := y >> 7 & 1
-		var s, u uint64
-		if (x&(x>>8)|y&(y>>8))&0x80 == 0 { // both varints end within 2 bytes
-			s = uint64(x&0x7f | x>>1&0x3f80&-cs)
-			u = uint64(y&0x7f | y>>1&0x3f80&-cu)
-			if s >= um || u >= un {
-				return i, pos
-			}
-			pos += int(2 + cs + cu)
-		} else {
-			var ws, wu int
-			if s, ws = binary.Uvarint(b[pos:]); ws > 0 {
-				u, wu = binary.Uvarint(b[pos+ws:])
-			}
-			if wu <= 0 || s >= um || u >= un {
-				return i, pos
-			}
-			pos += ws + wu
-		}
-		dst[i] = stream.Edge{Set: setcover.SetID(s), Elem: setcover.Element(u)}
-	}
-	return len(dst), pos
 }
 
 // writeFlush, writeDetach and writeFinish send the body-less control

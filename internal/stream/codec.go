@@ -1,13 +1,13 @@
 package stream
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"streamcover/internal/setcover"
 )
@@ -40,7 +40,93 @@ var ErrCorrupt = errors.New("stream: corrupt stream file")
 // It wraps ErrCorrupt, so errors.Is(err, ErrCorrupt) holds for both.
 var ErrTruncated = fmt.Errorf("%w (truncated)", ErrCorrupt)
 
-// Encode writes hdr and edges to w in the binary format.
+// AppendEdges appends edges to b in the layout SCSTRM1 and SCWIRE1 share,
+// a uvarint set then a uvarint element per edge, and returns the extended
+// slice. It grows b once, to the worst case of two maximal varints per
+// edge, and writes by index. An edge whose set and element both lie in
+// [0, 2^14), one or two bytes each, is written with no branch on either
+// width: the continuation bit is computed, both encodings go out in one
+// 4-byte store, and the cursor advances by the widths actually used. Any
+// other edge (wider IDs, or negative ones, which sign-extend to 10-byte
+// varints) falls back to binary.PutUvarint. The bytes are
+// binary.AppendUvarint's.
+func AppendEdges(b []byte, edges []Edge) []byte {
+	at := len(b)
+	worst := 2 * binary.MaxVarintLen64 * len(edges)
+	b = slices.Grow(b, worst)[:at+worst]
+	for _, e := range edges {
+		s, u := uint32(e.Set), uint32(e.Elem)
+		if s|u >= 1<<14 {
+			at += binary.PutUvarint(b[at:], uint64(e.Set))
+			at += binary.PutUvarint(b[at:], uint64(e.Elem))
+			continue
+		}
+		cs, cu := (s+0x3f80)>>14, (u+0x3f80)>>14 // 1 iff the ID needs 2 bytes
+		ws := 1 + cs
+		binary.LittleEndian.PutUint32(b[at:at+4:at+4], uvarint14(s, cs)|uvarint14(u, cu)<<(8*ws&31))
+		at += int(ws + 1 + cu)
+	}
+	return b[:at]
+}
+
+// uvarint14 is the uvarint encoding of v < 2^14 as a little-endian uint16,
+// given c, 1 iff v needs a second byte: the low 7 bits with the
+// continuation bit c, then the high 7 bits (zero when c is 0).
+func uvarint14(v, c uint32) uint32 { return v&0x7f | c<<7 | v>>7<<8 }
+
+// DecodeEdges decodes edges in AppendEdges' layout from b[pos:] into dst
+// while a worst-case edge (two maximal varints) fits in what is left of b,
+// and returns how many it decoded and the position after them. It stops
+// before an edge that is truncated, overflows, or has a set not below m or
+// an element not below n. Callers finish with their own per-edge loop,
+// which takes the last few edges of b and the edge the kernel stopped
+// before, and owns every rejection and its error string.
+//
+// Each step loads the edge's first 4 bytes. When neither varint runs past
+// 2 bytes, as for every ID below 2^14, it takes each width from the first
+// byte's continuation bit instead of branching on it, so IDs on both sides
+// of the 1/2-byte boundary at 128 cost no mispredicted branches. The one
+// branch on the bytes, predictable on real streams, sends an edge with a
+// wider varint to binary.Uvarint. The load slices b[pos : pos+4 : pos+4]:
+// with a constant capacity the compiler skips the pointer masking that
+// b[pos:] would add to the loop-carried chain through pos.
+func DecodeEdges(b []byte, pos int, dst []Edge, m, n uint64) (int, int) {
+	end := len(b) - 2*binary.MaxVarintLen64
+	for i := range dst {
+		if pos > end {
+			return i, pos
+		}
+		x := binary.LittleEndian.Uint32(b[pos : pos+4 : pos+4])
+		cs := x >> 7 & 1
+		y := x >> (8 << cs & 31) // the element's bytes
+		cu := y >> 7 & 1
+		var s, u uint64
+		if (x&(x>>8)|y&(y>>8))&0x80 == 0 { // both varints end within 2 bytes
+			s = uint64(x&0x7f | x>>1&0x3f80&-cs)
+			u = uint64(y&0x7f | y>>1&0x3f80&-cu)
+			if s >= m || u >= n {
+				return i, pos
+			}
+			pos += int(2 + cs + cu)
+		} else {
+			var ws, wu int
+			if s, ws = binary.Uvarint(b[pos:]); ws > 0 {
+				u, wu = binary.Uvarint(b[pos+ws:])
+			}
+			if wu <= 0 || s >= m || u >= n {
+				return i, pos
+			}
+			pos += ws + wu
+		}
+		dst[i] = Edge{Set: setcover.SetID(s), Elem: setcover.Element(u)}
+	}
+	return len(dst), pos
+}
+
+// Encode writes hdr and edges to w in the binary format. It appends the
+// edges BatchSize at a time into one reused buffer, folds each chunk into
+// the CRC and writes it, so its memory stays bounded whatever the stream
+// length; the trailer rides on the last chunk.
 func Encode(w io.Writer, hdr Header, edges []Edge) error {
 	if hdr.E != len(edges) {
 		return fmt.Errorf("stream: header says %d edges, got %d", hdr.E, len(edges))
@@ -48,49 +134,38 @@ func Encode(w io.Writer, hdr Header, edges []Edge) error {
 	if hdr.N <= 0 || hdr.M <= 0 {
 		return fmt.Errorf("stream: invalid header %+v", hdr)
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		k := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:k])
-		return err
-	}
-	for _, v := range []uint64{uint64(hdr.N), uint64(hdr.M), uint64(hdr.E)} {
-		if err := putUvarint(v); err != nil {
+	b := binary.AppendUvarint(append([]byte(nil), magic[:]...), uint64(hdr.N))
+	b = binary.AppendUvarint(b, uint64(hdr.M))
+	b = binary.AppendUvarint(b, uint64(hdr.E))
+	var crc uint32
+	for lo := 0; ; lo += BatchSize {
+		chunk := edges[lo:min(lo+BatchSize, len(edges))]
+		for _, e := range chunk {
+			if e.Set < 0 || int(e.Set) >= hdr.M || e.Elem < 0 || int(e.Elem) >= hdr.N {
+				return fmt.Errorf("stream: edge %v out of range for header %+v", e, hdr)
+			}
+		}
+		b = AppendEdges(b, chunk)
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		if lo+BatchSize >= len(edges) {
+			// The CRC covers magic+header+edges, not itself.
+			_, err := w.Write(binary.LittleEndian.AppendUint32(b, crc))
 			return err
 		}
-	}
-	for _, e := range edges {
-		if e.Set < 0 || int(e.Set) >= hdr.M || e.Elem < 0 || int(e.Elem) >= hdr.N {
-			return fmt.Errorf("stream: edge %v out of range for header %+v", e, hdr)
-		}
-		if err := putUvarint(uint64(e.Set)); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
-		if err := putUvarint(uint64(e.Elem)); err != nil {
-			return err
-		}
+		b = b[:0]
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// The CRC covers magic+header+edges; write it raw (not through crc).
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
-	return err
 }
 
 // Decode reads a stream file produced by Encode, verifying structure and
 // checksum. It returns ErrCorrupt (wrapped) on any damage. The whole file is
 // read into memory, which matches how streams are used here (streams of
 // laptop-scale experiments fit comfortably; the format is not intended for
-// larger-than-memory data).
+// larger-than-memory data). The edge slice is sized by what the payload can
+// hold, never by the header alone, so a short file that claims many edges
+// fails without a matching allocation.
 func Decode(r io.Reader) (Header, []Edge, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -128,8 +203,12 @@ func Decode(r io.Reader) (Header, []Edge, error) {
 	if hdr.N <= 0 || hdr.M <= 0 || hdr.E < 0 {
 		return Header{}, nil, fmt.Errorf("%w: invalid header %+v", ErrCorrupt, hdr)
 	}
-	edges := make([]Edge, hdr.E)
-	for i := range edges {
+	// Every edge takes at least two bytes, so a payload that cannot hold E
+	// edges fails in the loop below before it needs more than this.
+	edges := make([]Edge, min(hdr.E, br.Len()/2))
+	i, pos := DecodeEdges(payload, len(payload)-br.Len(), edges, uint64(hdr.M), uint64(hdr.N))
+	br.Reset(payload[pos:])
+	for ; i < hdr.E; i++ {
 		s, err := readUvarint()
 		if err != nil {
 			return Header{}, nil, fmt.Errorf("%w: edge %d set: %v", ErrCorrupt, i, err)

@@ -2,7 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +138,91 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 			t.Fatalf("err=%v", err)
 		}
 	})
+}
+
+// shortClaimFile is a CRC-valid stream file whose header claims e edges
+// over a 1×1 instance but whose payload ends with the header: 18 bytes at
+// e = 2^24.
+func shortClaimFile(e uint64) []byte {
+	b := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(
+		append([]byte(nil), magic[:]...), 1), 1), e)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestDecodeBoundsAllocationByInput decodes a short file whose header
+// claims 2^24 edges: Decode must fail as a short file does, with the same
+// error, without first allocating the 128 MiB edge slice the header asks
+// for. Every edge takes at least two bytes, so the payload bounds the
+// slice.
+func TestDecodeBoundsAllocationByInput(t *testing.T) {
+	data := shortClaimFile(1 << 24)
+	if len(data) != 18 {
+		t.Fatalf("file is %d bytes, want 18", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Decode allocated %d bytes for an 18-byte file, want under 1 MiB", got)
+	}
+	if want := "stream: corrupt stream file: edge 0 set: EOF"; err == nil || err.Error() != want {
+		t.Fatalf("err=%v, want %q", err, want)
+	}
+}
+
+// encodeReference is Encode's bytes built the obvious way: the magic, then
+// one binary.AppendUvarint per header field and per edge field, then the
+// CRC-32 of all of it.
+func encodeReference(hdr Header, edges []Edge) []byte {
+	b := append([]byte(nil), magic[:]...)
+	for _, v := range []int{hdr.N, hdr.M, hdr.E} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, e := range edges {
+		b = binary.AppendUvarint(b, uint64(e.Set))
+		b = binary.AppendUvarint(b, uint64(e.Elem))
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestEncodeMatchesReference pins Encode's bytes to the per-field
+// reference, for IDs of every varint width a non-negative int32 takes (1 to
+// 5 bytes), shapes on both sides of 2^14, and lengths on both sides of the
+// BatchSize chunks Encode writes in.
+func TestEncodeMatchesReference(t *testing.T) {
+	rng := xrand.New(20261017)
+	shapes := []Header{
+		{N: 300, M: 4000},              // 1- and 2-byte IDs
+		{N: 1 << 14, M: 1<<14 + 1},     // both sides of 2^14
+		{N: 1 << 21, M: 18000},         // up to 3-byte IDs
+		{N: math.MaxInt32, M: 1 << 28}, // up to 5- and 4-byte IDs
+	}
+	for _, hdr := range shapes {
+		// id draws below limit with a uniformly random varint width, so
+		// narrow IDs are as common as wide ones.
+		id := func(limit int) int {
+			w := 1 + rng.IntN(5)
+			if hi := 1 << (7 * w); hi < limit {
+				limit = hi
+			}
+			return rng.IntN(limit)
+		}
+		for _, e := range []int{0, 1, BatchSize - 1, BatchSize, BatchSize + 1, 3*BatchSize + 7} {
+			hdr.E = e
+			edges := make([]Edge, e)
+			for i := range edges {
+				edges[i] = Edge{Set: setcover.SetID(id(hdr.M)), Elem: setcover.Element(id(hdr.N))}
+			}
+			var buf bytes.Buffer
+			if err := Encode(&buf, hdr, edges); err != nil {
+				t.Fatalf("%+v: %v", hdr, err)
+			}
+			if want := encodeReference(hdr, edges); !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%+v: Encode wrote %d bytes, the reference %d, and they differ", hdr, buf.Len(), len(want))
+			}
+		}
+	}
 }
 
 func TestInstanceFromEdges(t *testing.T) {

@@ -19,20 +19,6 @@ const fileBufSize = 256 << 10
 // varints, so one edge can always be decoded without an intervening refill.
 const minFileWindow = 2 * binary.MaxVarintLen64
 
-// FileOptions configures OpenFileWith.
-type FileOptions struct {
-	// EagerVerify restores the pre-pipelined behavior: scan the whole file at
-	// open time and verify the CRC-32 trailer before the first edge is
-	// returned, so corruption fails at open rather than mid-stream. The
-	// default (false) validates the magic and header eagerly but folds the
-	// checksum into the first replay pass: a corrupt payload surfaces as a
-	// sticky ErrCorrupt from Err at the end of that pass.
-	EagerVerify bool
-	// BufferSize is the read-window size in bytes; 0 selects the default
-	// (256 KiB). Values below the minimum decodable window are raised to it.
-	BufferSize int
-}
-
 // File is a Stream backed by an on-disk stream file (the Encode format),
 // decoded lazily: edges are materialised from disk as they are consumed, so
 // a stream much larger than memory can be replayed — which is the point of
@@ -43,8 +29,7 @@ type FileOptions struct {
 // the bytes are hashed as they stream through the decode window, and a
 // mismatch surfaces as a sticky ErrCorrupt from Err when the pass reaches
 // the end of the file. Once any pass has verified the checksum, later passes
-// skip the hashing. OpenFileWith(path, FileOptions{EagerVerify: true})
-// restores the old fail-at-open behavior at the cost of an extra full scan.
+// skip the hashing.
 type File struct {
 	f         *os.File
 	hdr       Header
@@ -71,33 +56,19 @@ type File struct {
 }
 
 // OpenFile opens a stream file for lazy single-scan replay (see File).
-func OpenFile(path string) (*File, error) {
-	return OpenFileWith(path, FileOptions{})
-}
+func OpenFile(path string) (*File, error) { return openFile(path, fileBufSize) }
 
-// OpenFileWith is OpenFile with explicit options.
-func OpenFileWith(path string, opts FileOptions) (*File, error) {
+// openFile is OpenFile with a read window of window bytes, at least
+// minFileWindow; tests shrink it to make edges straddle refills.
+func openFile(path string, window int) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	fs := &File{f: f}
-	bufSize := opts.BufferSize
-	if bufSize <= 0 {
-		bufSize = fileBufSize
-	}
-	if bufSize < minFileWindow {
-		bufSize = minFileWindow
-	}
-	if err := fs.open(bufSize); err != nil {
+	if err := fs.open(window); err != nil {
 		f.Close()
 		return nil, err
-	}
-	if opts.EagerVerify {
-		if err := fs.verifyEager(); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	fs.Reset()
 	return fs, nil
@@ -160,33 +131,6 @@ func (fs *File) open(bufSize int) error {
 	return nil
 }
 
-// verifyEager runs the whole body through the CRC before the first edge is
-// served (the EagerVerify option).
-func (fs *File) verifyEager() error {
-	if _, err := fs.f.Seek(fs.dataStart, io.SeekStart); err != nil {
-		return err
-	}
-	crc := fs.headerCRC
-	remaining := fs.bodyLen
-	for remaining > 0 {
-		chunk := int64(len(fs.rbuf))
-		if chunk > remaining {
-			chunk = remaining
-		}
-		n, err := io.ReadFull(fs.f, fs.rbuf[:chunk])
-		crc = crc32.Update(crc, crc32.IEEETable, fs.rbuf[:n])
-		remaining -= int64(n)
-		if err != nil {
-			return fmt.Errorf("%w: read: %v", ErrTruncated, err)
-		}
-	}
-	if crc != fs.wantCRC {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	fs.verified = true
-	return nil
-}
-
 // Header returns the stream's header.
 func (fs *File) Header() Header { return fs.hdr }
 
@@ -245,13 +189,15 @@ func (fs *File) refill() error {
 	return nil
 }
 
-// FillBatch implements BatchFiller: it decodes up to len(dst) edges directly
-// into dst and returns how many were produced. A short count means end of
-// stream or a sticky decode error (Err distinguishes them). This is the
-// single decode loop behind Next, NextBatch and SkipTo: uvarints are read
-// straight out of the read window, two bounds checks and no io.Reader
-// dispatch per edge.
-func (fs *File) FillBatch(dst []Edge) int {
+// fillBatch decodes up to len(dst) edges directly into dst and returns how
+// many were produced. A short count means end of stream or a sticky decode
+// error (Err distinguishes them). It is the one decode loop behind Next,
+// NextBatch and SkipTo. DecodeEdges takes every edge it can from the read
+// window and stops minFileWindow bytes short of its end; the loop then
+// refills, or, at the end of the body or before an edge the kernel
+// rejects, decodes one edge with binary.Uvarint, which produces every
+// error.
+func (fs *File) fillBatch(dst []Edge) int {
 	if fs.err != nil {
 		return 0
 	}
@@ -259,13 +205,22 @@ func (fs *File) FillBatch(dst []Edge) int {
 		fs.finishPass()
 		return 0
 	}
+	dst = dst[:min(len(dst), fs.remaining)]
+	um, un := uint64(fs.hdr.M), uint64(fs.hdr.N)
 	k := 0
-	for k < len(dst) && fs.remaining > 0 {
+	for k < len(dst) {
 		if fs.rlen-fs.rpos < minFileWindow && fs.unread > 0 {
 			if err := fs.refill(); err != nil {
 				fs.fail(err)
 				break
 			}
+		}
+		d, next := DecodeEdges(fs.rbuf[:fs.rlen], fs.rpos, dst[k:], um, un)
+		fs.rpos, k = next, k+d
+		fs.pos += d
+		fs.remaining -= d
+		if k == len(dst) || fs.rlen-fs.rpos < minFileWindow && fs.unread > 0 {
+			continue
 		}
 		s, n1 := binary.Uvarint(fs.rbuf[fs.rpos:fs.rlen])
 		if n1 <= 0 {
@@ -277,7 +232,7 @@ func (fs *File) FillBatch(dst []Edge) int {
 			fs.fail(fs.varintErr(n2, "elem"))
 			break
 		}
-		if s >= uint64(fs.hdr.M) || u >= uint64(fs.hdr.N) {
+		if s >= um || u >= un {
 			fs.fail(fmt.Errorf("%w: edge %d (%d,%d) out of range", ErrCorrupt, fs.pos, s, u))
 			break
 		}
@@ -331,7 +286,7 @@ func (fs *File) finishPass() {
 // yields its (corrupt) edges first and fails on the final call.
 func (fs *File) Next() (Edge, bool) {
 	var one [1]Edge
-	if fs.FillBatch(one[:]) == 0 {
+	if fs.fillBatch(one[:]) == 0 {
 		return Edge{}, false
 	}
 	return one[0], true
@@ -388,7 +343,7 @@ func (fs *File) NextBatch(max int) []Edge {
 	if cap(fs.batch) < max {
 		fs.batch = make([]Edge, max)
 	}
-	return fs.batch[:fs.FillBatch(fs.batch[:max])]
+	return fs.batch[:fs.fillBatch(fs.batch[:max])]
 }
 
 // Close releases the underlying file.
@@ -396,6 +351,5 @@ func (fs *File) Close() error { return fs.f.Close() }
 
 var _ Stream = (*File)(nil)
 var _ Batcher = (*File)(nil)
-var _ BatchFiller = (*File)(nil)
 var _ Skipper = (*File)(nil)
 var _ ErrReporter = (*File)(nil)

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"streamcover/internal/xrand"
 )
 
 // refixTrailer recomputes a mutated stream file's CRC trailer so the
@@ -158,6 +160,31 @@ func TestFileSkipTo(t *testing.T) {
 	}
 }
 
+// TestFileSkipToSmallWindow skips over a 64-byte window, which refills every
+// few dozen edges, to positions on both sides of a window edge and to the
+// very end.
+func TestFileSkipToSmallWindow(t *testing.T) {
+	edges := randomEdges(xrand.New(11), 15, 15, 3000)
+	fs, err := openFile(writeEdgesFile(t, edges, 15, 15), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for _, skip := range []int{0, 1, 127, 128, 1000, len(edges)} {
+		fs.Reset()
+		if err := fs.SkipTo(skip); err != nil {
+			t.Fatalf("SkipTo(%d): %v", skip, err)
+		}
+		e, ok := fs.Next()
+		if skip < len(edges) && (!ok || e != edges[skip]) {
+			t.Fatalf("after SkipTo(%d) got %v ok=%v want %v", skip, e, ok, edges[skip])
+		}
+		if skip == len(edges) && ok {
+			t.Fatalf("after SkipTo(%d) got %v past the end", skip, e)
+		}
+	}
+}
+
 func TestFileResumeViaSkipToMatchesSliceResume(t *testing.T) {
 	// Resuming from an on-disk stream (Skipper fast-forward) must be
 	// indistinguishable from resuming from an in-memory slice.
@@ -186,5 +213,54 @@ func TestFileResumeViaSkipToMatchesSliceResume(t *testing.T) {
 	}
 	if !want.Cover.Equal(got.Cover) || want.Edges != got.Edges {
 		t.Fatal("file resume diverged from slice resume")
+	}
+}
+
+// TestFileComposesWithCheckpointResume kills a checkpointed run over a File
+// partway and resumes it on the same File: DrivePartial's batch clipping
+// and the SkipTo fast-forward must together match an uninterrupted direct
+// run edge for edge.
+func TestFileComposesWithCheckpointResume(t *testing.T) {
+	const n, m = 25, 25
+	edges := randomEdges(xrand.New(99), n, m, 2500)
+	want := RunEdges(newHashAlg(n), edges)
+
+	fs, err := openFile(writeEdgesFile(t, edges, n, m), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+
+	var lastPos int
+	var lastCkpt []byte
+	pol := CheckpointPolicy{
+		Every: 37,
+		Sink: func(pos int, ck []byte) error {
+			lastPos = pos
+			lastCkpt = append(lastCkpt[:0], ck...)
+			return nil
+		},
+	}
+	if _, err := DrivePartial(newHashAlg(n), fs, pol, len(edges)/2+5); err != nil {
+		t.Fatal(err)
+	}
+	if lastCkpt == nil {
+		t.Fatal("no checkpoint taken")
+	}
+
+	resumed := newHashAlg(n)
+	pos, err := ReadCheckpoint(bytes.NewReader(lastCkpt), resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos != lastPos {
+		t.Fatalf("checkpoint pos %d want %d", pos, lastPos)
+	}
+	res, err := RunCheckpointedFrom(resumed, fs, pol, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cover.Certificate[0] != want.Cover.Certificate[0] {
+		t.Fatal("resumed file run diverged from direct run")
 	}
 }

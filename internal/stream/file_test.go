@@ -3,12 +3,51 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"streamcover/internal/setcover"
 	"streamcover/internal/xrand"
 )
+
+// randomEdges builds a deterministic pseudo-random edge list over n elements
+// and m sets. It is NOT a valid set-cover stream (duplicates allowed) — fine
+// for transport-equivalence tests, which only care about byte ordering.
+func randomEdges(rng *xrand.Rand, n, m, count int) []Edge {
+	edges := make([]Edge, count)
+	for i := range edges {
+		edges[i] = Edge{
+			Set:  setcover.SetID(rng.IntN(m)),
+			Elem: setcover.Element(rng.IntN(n)),
+		}
+	}
+	return edges
+}
+
+// writeEdgesFile encodes edges under a header just wide enough for them (at
+// least n by m) and returns the file's path.
+func writeEdgesFile(t *testing.T, edges []Edge, n, m int) string {
+	t.Helper()
+	for _, e := range edges {
+		n, m = max(n, int(e.Elem)+1), max(m, int(e.Set)+1)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, Header{N: n, M: m, E: len(edges)}, edges); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "edges.scs")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// testWindows are the read windows the File tests open at: the smallest
+// decodable one, a size that is no multiple of common varint widths, one
+// that forces a refill every few edges, and the default.
+var testWindows = []int{minFileWindow, minFileWindow + 7, 64, fileBufSize}
 
 func writeStreamFile(t *testing.T, dir string, mutate func([]byte) []byte) (string, Header, []Edge) {
 	t.Helper()
@@ -52,6 +91,141 @@ func TestFileStreamMatchesDecode(t *testing.T) {
 	}
 	if _, ok := fs.Next(); ok {
 		t.Fatal("Next past end returned ok")
+	}
+
+	// A stream several times the default window, with set IDs on both
+	// sides of 2^14 (1- to 3-byte varints), so every window compacts and
+	// refills mid-pass and edges straddle the refill point.
+	big := randomEdges(xrand.New(12), 300, 40000, 300000)
+	bigPath := writeEdgesFile(t, big, 300, 40000)
+	data, err := os.ReadFile(bigPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) <= 1<<20 {
+		t.Fatalf("stream of %d bytes, want more than 1 MiB", len(data))
+	}
+	_, want, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range testWindows {
+		fs, err := openFile(bigPath, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for {
+			b := fs.NextBatch(BatchSize)
+			if len(b) == 0 {
+				break
+			}
+			for _, e := range b {
+				if e != want[got] {
+					t.Fatalf("window %d: edge %d = %v, Decode %v", window, got, e, want[got])
+				}
+				got++
+			}
+		}
+		if err := fs.Err(); err != nil || got != len(want) {
+			t.Fatalf("window %d: %d of %d edges, Err=%v", window, got, len(want), err)
+		}
+		fs.Close()
+	}
+}
+
+// TestFileMatchesDirectRandomized replays random streams at random windows
+// with a random mix of Next and NextBatch calls, then drives an
+// order-sensitive algorithm over a second pass; both must match the edge
+// slice the file was written from.
+func TestFileMatchesDirectRandomized(t *testing.T) {
+	rng := xrand.New(0x5eed)
+	for trial := 0; trial < 12; trial++ {
+		n, m := 1+rng.IntN(40), 1+rng.IntN(30)
+		edges := randomEdges(rng, n, m, rng.IntN(3000))
+		window := minFileWindow + rng.IntN(700)
+		fs, err := openFile(writeEdgesFile(t, edges, n, m), window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := fmt.Sprintf("trial %d (window %d)", trial, window)
+
+		var got []Edge
+		for {
+			if rng.Coin(0.3) {
+				e, ok := fs.Next()
+				if !ok {
+					break
+				}
+				got = append(got, e)
+			} else {
+				b := fs.NextBatch(1 + rng.IntN(1400))
+				if len(b) == 0 {
+					break
+				}
+				got = append(got, b...)
+			}
+		}
+		if len(got) != len(edges) {
+			t.Fatalf("%s: got %d edges want %d", tag, len(got), len(edges))
+		}
+		for i := range got {
+			if got[i] != edges[i] {
+				t.Fatalf("%s: edge %d = %v want %v", tag, i, got[i], edges[i])
+			}
+		}
+		if err := fs.Err(); err != nil {
+			t.Fatalf("%s: Err=%v", tag, err)
+		}
+
+		want := RunEdges(newHashAlg(n), edges)
+		res := Run(newHashAlg(n), fs)
+		if res.Err != nil {
+			t.Fatalf("%s: run err %v", tag, res.Err)
+		}
+		if res.Cover.Certificate[0] != want.Cover.Certificate[0] || res.Edges != want.Edges {
+			t.Fatalf("%s: file run diverged from the slice run", tag)
+		}
+		fs.Close()
+	}
+}
+
+// TestFileResetMidStream abandons passes at assorted depths — including 0
+// (immediate Reset), mid-window, and exactly the full length — then
+// requires a clean full replay.
+func TestFileResetMidStream(t *testing.T) {
+	edges := randomEdges(xrand.New(7), 20, 20, 5000)
+	path := writeEdgesFile(t, edges, 20, 20)
+	for _, window := range testWindows {
+		fs, err := openFile(path, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stop := range []int{0, 1, 100, 256, 257, 2048, len(edges)} {
+			for i := 0; i < stop; i++ {
+				if _, ok := fs.Next(); !ok {
+					t.Fatalf("window %d: stream ended at %d mid-prefix", window, i)
+				}
+			}
+			fs.Reset()
+		}
+		got := 0
+		for {
+			b := fs.NextBatch(BatchSize)
+			if len(b) == 0 {
+				break
+			}
+			for _, e := range b {
+				if e != edges[got] {
+					t.Fatalf("window %d: edge %d mismatch after resets", window, got)
+				}
+				got++
+			}
+		}
+		if got != len(edges) || fs.Err() != nil {
+			t.Fatalf("window %d: replay after resets got %d edges, err=%v", window, got, fs.Err())
+		}
+		fs.Close()
 	}
 }
 
@@ -109,9 +283,8 @@ func drainFile(fs *File) error {
 func TestOpenFileRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 
-	// The default open folds the CRC check into the first replay pass, so
-	// payload corruption surfaces as a sticky ErrCorrupt by the end of that
-	// pass; EagerVerify restores rejection at open time.
+	// Open folds the CRC check into the first replay pass, so payload
+	// corruption surfaces as a sticky ErrCorrupt by the end of that pass.
 	t.Run("bit flip", func(t *testing.T) {
 		path, _, _ := writeStreamFile(t, dir, func(b []byte) []byte {
 			b[len(b)/2] ^= 0x10
@@ -136,10 +309,6 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 		if err := drainFile(fs); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("second pass Err=%v want ErrCorrupt", err)
 		}
-
-		if _, err := OpenFileWith(path, FileOptions{EagerVerify: true}); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("eager open err=%v want ErrCorrupt", err)
-		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		path, _, _ := writeStreamFile(t, dir, func(b []byte) []byte { return b[:len(b)-6] })
@@ -150,10 +319,6 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 		defer fs.Close()
 		if err := drainFile(fs); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("after full pass, Err=%v want ErrCorrupt", err)
-		}
-
-		if _, err := OpenFileWith(path, FileOptions{EagerVerify: true}); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("eager open err=%v want ErrCorrupt", err)
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
@@ -201,6 +366,38 @@ func TestRunSurfacesLazyCorruption(t *testing.T) {
 	res := Run(newFirstSetAlg(hdr.N), fs)
 	if !errors.Is(res.Err, ErrCorrupt) {
 		t.Fatalf("Result.Err=%v want ErrCorrupt", res.Err)
+	}
+}
+
+// TestFileCorruptionStickyAcrossPasses checks that a corrupt file's error
+// stays on Err after a Run, that Reset clears it, and that the next pass,
+// which never verified, detects the corruption again.
+func TestFileCorruptionStickyAcrossPasses(t *testing.T) {
+	path, hdr, _ := writeStreamFile(t, t.TempDir(), func(b []byte) []byte {
+		b[len(b)/2] ^= 0x10
+		return b
+	})
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+
+	res := Run(newHashAlg(hdr.N), fs)
+	if !errors.Is(res.Err, ErrCorrupt) {
+		t.Fatalf("Result.Err=%v want ErrCorrupt", res.Err)
+	}
+	if !errors.Is(fs.Err(), ErrCorrupt) {
+		t.Fatalf("sticky Err=%v want ErrCorrupt", fs.Err())
+	}
+	fs.Reset()
+	if fs.Err() != nil {
+		t.Fatalf("Err after Reset = %v", fs.Err())
+	}
+	for len(fs.NextBatch(BatchSize)) > 0 {
+	}
+	if !errors.Is(fs.Err(), ErrCorrupt) {
+		t.Fatalf("second pass Err=%v want ErrCorrupt", fs.Err())
 	}
 }
 

@@ -3,8 +3,10 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"streamcover/internal/setcover"
@@ -29,6 +31,7 @@ func FuzzDecode(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[10] ^= 0xff
 	f.Add(mutated)
+	f.Add(shortClaimFile(1 << 24))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, decoded, err := Decode(bytes.NewReader(data))
@@ -57,14 +60,16 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzPrefetchedFile pushes arbitrary bytes through the full on-disk
-// pipeline — lazily-verified File, background Prefetcher — and checks it
-// against a direct in-memory Decode of the same bytes: when Decode accepts,
-// the prefetched replay must yield the identical edge sequence with no
-// error; when Decode rejects, the pipeline must either fail at open or
-// surface a sticky error (never panic, hang, or silently truncate a pass it
-// claims completed).
-func FuzzPrefetchedFile(f *testing.F) {
+// FuzzFile pushes arbitrary bytes through File at every test window and
+// checks it against a direct in-memory Decode of the same bytes: when
+// Decode accepts, every pass must yield the identical edge sequence with no
+// error; when Decode rejects, the file must either fail at open or end
+// every pass in a sticky error of the corruption family (never panic, hang,
+// or silently truncate a pass it claims completed). Each window drains one
+// pass with Next and, after Reset, one with NextBatch(5); the second is the
+// verified pass, which skips the CRC, whenever the first was clean. Every
+// pass at every window must agree on the edges and the error.
+func FuzzFile(f *testing.F) {
 	inst := setcover.MustNewInstance(5, [][]setcover.Element{{0, 1, 2}, {3, 4}})
 	edges := EdgesOf(inst)
 	var buf bytes.Buffer
@@ -81,6 +86,18 @@ func FuzzPrefetchedFile(f *testing.F) {
 	f.Add(mutated)
 	trailing := append(append([]byte(nil), valid...), 0)
 	f.Add(trailing)
+	// IDs of every varint width an int32 takes, over more bytes than the
+	// 64-byte window holds.
+	ids := []int32{5, 200, 20000, 3000000, 400000000}
+	wide := make([]Edge, 40)
+	for i := range wide {
+		wide[i] = Edge{Set: setcover.SetID(ids[i%5]), Elem: setcover.Element(ids[i*3%5])}
+	}
+	buf.Reset()
+	if err := Encode(&buf, Header{N: 1 << 30, M: 1 << 30, E: len(wide)}, wide); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, want, decodeErr := Decode(bytes.NewReader(data))
@@ -89,48 +106,57 @@ func FuzzPrefetchedFile(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		fs, err := OpenFile(path)
-		if err != nil {
-			if decodeErr == nil {
-				t.Fatalf("open rejected a Decode-accepted file: %v", err)
+		var ref []Edge
+		var refErr error
+		for i, window := range testWindows {
+			fs, err := openFile(path, window)
+			if err != nil {
+				if decodeErr == nil {
+					t.Fatalf("open rejected a Decode-accepted file: %v", err)
+				}
+				return
 			}
-			return
-		}
-		defer fs.Close()
-		pf := NewPrefetcherSized(fs, 2, 7) // tiny batches exercise ring wrap
-		defer pf.Close()
-
-		var got []Edge
-		for {
-			b := pf.NextBatch(5)
-			if len(b) == 0 {
-				break
-			}
-			got = append(got, b...)
-		}
-		passErr := pf.Err()
-
-		if decodeErr == nil {
-			if passErr != nil {
-				t.Fatalf("prefetched pass failed on a Decode-accepted file: %v", passErr)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("prefetched %d edges, Decode saw %d (header %+v)", len(got), len(want), hdr)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("edge %d: prefetched %v, Decode %v", i, got[i], want[i])
+			defer fs.Close()
+			for pass := 0; pass < 2; pass++ {
+				var got []Edge
+				if pass == 0 {
+					for e, ok := fs.Next(); ok; e, ok = fs.Next() {
+						got = append(got, e)
+					}
+				} else {
+					fs.Reset()
+					for b := fs.NextBatch(5); len(b) > 0; b = fs.NextBatch(5) {
+						got = append(got, b...)
+					}
+				}
+				passErr := fs.Err()
+				if i > 0 || pass > 0 {
+					if !slices.Equal(got, ref) || fmt.Sprint(passErr) != fmt.Sprint(refErr) {
+						t.Fatalf("window %d pass %d: %d edges, Err=%v; first pass: %d edges, Err=%v",
+							window, pass, len(got), passErr, len(ref), refErr)
+					}
+					continue
+				}
+				ref, refErr = got, passErr
+				if decodeErr == nil {
+					if passErr != nil {
+						t.Fatalf("pass failed on a Decode-accepted file: %v", passErr)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("File yielded %d edges, Decode %d (header %+v)", len(got), len(want), hdr)
+					}
+					continue
+				}
+				// Decode rejected the bytes but the file opened: the lazy
+				// pass must report a sticky corruption-family error by its
+				// end.
+				if passErr == nil {
+					t.Fatalf("Decode rejected (%v) but the pass completed cleanly with %d edges", decodeErr, len(got))
+				}
+				if !errors.Is(passErr, ErrCorrupt) && !errors.Is(passErr, ErrShortStream) {
+					t.Fatalf("pass error %v is outside the corruption family", passErr)
 				}
 			}
-			return
-		}
-		// Decode rejected the bytes but the file opened: the lazy pass must
-		// report a sticky corruption-family error by its end.
-		if passErr == nil {
-			t.Fatalf("Decode rejected (%v) but the prefetched pass completed cleanly with %d edges", decodeErr, len(got))
-		}
-		if !errors.Is(passErr, ErrCorrupt) && !errors.Is(passErr, ErrShortStream) {
-			t.Fatalf("pass error %v is outside the corruption family", passErr)
 		}
 	})
 }

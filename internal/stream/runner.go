@@ -40,17 +40,9 @@ type Batcher interface {
 	NextBatch(max int) []Edge
 }
 
-// BatchFiller is optionally implemented by streams that can decode the next
-// run of edges directly into a caller-owned buffer, returning how many were
-// produced (short only at end of stream or on a sticky error). The
-// Prefetcher uses it to fill its ring buffers without an intermediate copy.
-type BatchFiller interface {
-	FillBatch(dst []Edge) int
-}
-
 // ErrReporter is implemented by streams whose pass can fail mid-replay —
-// File and Prefetcher, where decode and checksum validation are folded into
-// the replay itself. Err returns the sticky error that terminated the
+// File, where decode and checksum validation are folded into the replay
+// itself. Err returns the sticky error that terminated the
 // current pass, or nil while the pass is clean; Reset clears it.
 type ErrReporter interface {
 	Err() error

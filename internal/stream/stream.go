@@ -71,16 +71,6 @@ func (s *Slice) NextBatch(max int) []Edge {
 	return batch
 }
 
-// FillBatch implements BatchFiller by copying the next run of edges into
-// dst. In-memory consumers should prefer NextBatch (a zero-copy view); the
-// copy variant exists so the Prefetcher's ring buffers work uniformly over
-// every backend.
-func (s *Slice) FillBatch(dst []Edge) int {
-	n := copy(dst, s.edges[s.pos:])
-	s.pos += n
-	return n
-}
-
 // Reset implements Stream.
 func (s *Slice) Reset() { s.pos = 0 }
 
@@ -89,7 +79,6 @@ func (s *Slice) Edges() []Edge { return s.edges }
 
 var _ Stream = (*Slice)(nil)
 var _ Batcher = (*Slice)(nil)
-var _ BatchFiller = (*Slice)(nil)
 
 // EdgesOf materialises all edges of an instance in canonical order:
 // set-major (all edges of set 0, then set 1, ...), elements ascending within

@@ -216,12 +216,12 @@ func testSteadyStateAllocs(t *testing.T, withObs bool) {
 	}
 }
 
-// TestPrefetchedDecisionTraceMatchesDirect runs every algorithm over the
-// same stream twice — directly from the edge slice and through a prefetched
-// File — with private obs hubs, and asserts the decision-event streams are
-// identical event for event. Pipelined ingestion must not change what the
-// algorithm observes, only when the bytes were decoded.
-func TestPrefetchedDecisionTraceMatchesDirect(t *testing.T) {
+// TestFileDecisionTraceMatchesDirect runs every algorithm over the same
+// stream twice — directly from the edge slice and through a stream File —
+// with private obs hubs, and asserts the decision-event streams are
+// identical event for event. On-disk ingestion must not change what the
+// algorithm observes, only where the bytes were decoded from.
+func TestFileDecisionTraceMatchesDirect(t *testing.T) {
 	const ringCap = 1 << 18
 	dir := t.TempDir()
 	for _, algName := range []string{"kk", "alg1", "alg2"} {
@@ -244,36 +244,34 @@ func TestPrefetchedDecisionTraceMatchesDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Close()
-			pf := NewStreamPrefetcher(fs)
-			defer pf.Close()
 
-			prefAlg, _ := perfCase(algName, RandomOrder)
-			prefHub := obs.NewHub(ringCap)
-			attachSink(t, prefHub, prefAlg)
-			pref := Run(prefAlg, pf)
-			if pref.Err != nil {
-				t.Fatal(pref.Err)
+			fileAlg, _ := perfCase(algName, RandomOrder)
+			fileHub := obs.NewHub(ringCap)
+			attachSink(t, fileHub, fileAlg)
+			file := Run(fileAlg, fs)
+			if file.Err != nil {
+				t.Fatal(file.Err)
 			}
 
-			if !slices.Equal(direct.Cover.Sets, pref.Cover.Sets) || direct.Space != pref.Space {
-				t.Fatalf("prefetched result differs: %v/%+v vs %v/%+v",
-					direct.Cover.Sets, direct.Space, pref.Cover.Sets, pref.Space)
+			if !slices.Equal(direct.Cover.Sets, file.Cover.Sets) || direct.Space != file.Space {
+				t.Fatalf("file result differs: %v/%+v vs %v/%+v",
+					direct.Cover.Sets, direct.Space, file.Cover.Sets, file.Space)
 			}
-			evA, evB := directHub.Ring().Events(), prefHub.Ring().Events()
+			evA, evB := directHub.Ring().Events(), fileHub.Ring().Events()
 			if !reflect.DeepEqual(evA, evB) {
-				t.Fatalf("decision traces differ: direct %d events, prefetched %d", len(evA), len(evB))
+				t.Fatalf("decision traces differ: direct %d events, file %d", len(evA), len(evB))
 			}
 		})
 	}
 }
 
-// TestSteadyStateFileReplayAllocs extends the allocation guard to the full
-// on-disk ingestion pipeline: a lazily-verified stream File wrapped in a
-// background Prefetcher, drained batch-by-batch into ProcessBatch. After the
-// first pass (which pays the CRC fold and warms every ring buffer), a whole
-// replay — Reset, background decode, NextBatch hand-off, algorithm — must
-// perform zero heap allocations. This is the property the reusable decode
-// window and the fixed buffer ring exist to provide.
+// TestSteadyStateFileReplayAllocs extends the allocation guard to the
+// on-disk ingestion path: a lazily-verified stream File drained
+// batch-by-batch into ProcessBatch. After the first pass (which pays the CRC
+// fold and sizes the batch buffer), a whole replay — Reset, windowed
+// decode, NextBatch, algorithm — must perform zero heap allocations. This
+// is the property the reusable decode window and batch buffer exist to
+// provide.
 func TestSteadyStateFileReplayAllocs(t *testing.T) {
 	const n, m, opt = 100, 600, 6
 	w := PlantedWorkload(NewRand(5), n, m, opt, 0)
@@ -293,15 +291,13 @@ func TestSteadyStateFileReplayAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	pf := NewStreamPrefetcher(fs)
-	defer pf.Close()
 
 	alg := NewKK(n, m, NewRand(1))
 	var bp stream.BatchProcessor = alg
 	replay := func() {
-		pf.Reset()
+		fs.Reset()
 		for {
-			b := pf.NextBatch(1 << 20)
+			b := fs.NextBatch(1 << 20)
 			if len(b) == 0 {
 				break
 			}
@@ -309,7 +305,7 @@ func TestSteadyStateFileReplayAllocs(t *testing.T) {
 		}
 	}
 	// Warm up: converge coverage (replays become pure reads) and let the
-	// File finish its verifying pass and the ring settle.
+	// File finish its verifying pass.
 	for pass := 0; pass < 500; pass++ {
 		replay()
 		if alg.CoveredCount() == n {
@@ -319,7 +315,7 @@ func TestSteadyStateFileReplayAllocs(t *testing.T) {
 	if got := alg.CoveredCount(); got != n {
 		t.Fatalf("warm-up never converged: %d/%d elements covered", got, n)
 	}
-	if err := StreamErr(pf); err != nil {
+	if err := StreamErr(fs); err != nil {
 		t.Fatalf("replay error: %v", err)
 	}
 	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
