@@ -37,7 +37,9 @@ experiments-full:
 	$(GO) run ./cmd/scbench -config full
 
 # Tier-1 gate (ROADMAP.md) and the whole of CI's test step: static checks
-# and builds with and without the observability layer, the race-enabled
+# and builds with and without the observability layer, static checks of
+# the non-amd64 file set (GOARCH=arm64, so the portable edge decoder keeps
+# compiling beside the amd64 block kernel), the race-enabled
 # test suite, the suite again with observability compiled out (obsoff), a
 # one-iteration smoke of the perf-tracked benchmarks (the in-process
 # EndToEnd and FileReplay rows and the WireEdges serving rungs), and the one
@@ -45,6 +47,7 @@ experiments-full:
 check:
 	$(GO) vet ./...
 	$(GO) vet -tags obsoff ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) build -tags obsoff ./...
 	$(GO) test -race -shuffle=on ./...
@@ -67,14 +70,16 @@ paper-check:
 cluster-smoke:
 	$(GO) run ./internal/tools/clustersmoke
 
-# Run every fuzz target for a ~10s budget each: the stream codec, the
-# on-disk File reader, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
+# Run every fuzz target for a ~10s budget each: the stream codec, the edge
+# decoder's block and scalar kernels against each other, the on-disk File
+# reader, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
 # decoders, alg1's trace-section decoder, and the SCWIRE1, SCSTOR1 and
 # SCRING1 parsers (go test allows one -fuzz target per invocation).
 # Minimizing a new interesting input is capped at 1s, so the budget goes to
 # new inputs rather than to shrinking one large mutant.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
+	$(GO) test -fuzz FuzzEdgeKernels -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzFile -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzValidate -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/orlib/

@@ -121,6 +121,64 @@ func TestLifecycleDetachResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// gatedDeleteStore is a MemStore whose Delete announces its token on
+// deleting and then waits for proceed before it deletes.
+type gatedDeleteStore struct {
+	*store.MemStore
+	deleting chan string
+	proceed  chan struct{}
+}
+
+func (s *gatedDeleteStore) Delete(token string) error {
+	s.deleting <- token
+	<-s.proceed
+	return s.MemStore.Delete(token)
+}
+
+// TestLifecycleFinishHoldsTokenUntilDeleted: a resume of a token whose
+// session is finishing must not restore the detach checkpoint Finish is
+// about to delete. While Finish deletes, the token is still claimed and
+// the resume meets ErrSessionActive; after it, ErrUnknownSession.
+func TestLifecycleFinishHoldsTokenUntilDeleted(t *testing.T) {
+	cfg := testConfig()
+	edges := testEdges(cfg)
+	st := &gatedDeleteStore{MemStore: store.NewMemStore(), deleting: make(chan string), proceed: make(chan struct{})}
+	mgr, err := NewManager(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := mustOpen(t, mgr, "racing", cfg)
+	feed(sess, edges[:len(edges)/2])
+	if _, err := mgr.Detach(sess, "test-detach"); err != nil {
+		t.Fatal(err)
+	}
+	sess, pos, err := mgr.Resume("racing", obs.TraceID{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(sess, edges[pos:])
+	finished := make(chan error)
+	go func() {
+		_, err := mgr.Finish(sess)
+		finished <- err
+	}()
+	<-st.deleting
+	_, rpos, rerr := mgr.Resume("racing", obs.TraceID{}, cfg)
+	close(st.proceed)
+	if err := <-finished; err != nil {
+		t.Fatal(err)
+	}
+	if rerr == nil {
+		t.Fatalf("a resume during Finish restored the finished session at position %d", rpos)
+	}
+	if !errors.Is(rerr, ErrSessionActive) {
+		t.Fatalf("resume during Finish = %v, want ErrSessionActive", rerr)
+	}
+	if _, _, err := mgr.Resume("racing", obs.TraceID{}, cfg); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("resume after Finish = %v, want ErrUnknownSession", err)
+	}
+}
+
 // TestLifecycleSessionsRunNoGoroutines pins one goroutine per session: a
 // session applies each batch on the goroutine feeding it, so opening and
 // feeding sessions starts no goroutine of their own. While 16 sessions are

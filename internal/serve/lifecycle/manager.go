@@ -388,7 +388,10 @@ func (m *Manager) Detach(s *Session, cause string) (int, error) {
 }
 
 // Finish finishes s's algorithm and retires the session for good,
-// removing any detach checkpoint left by an earlier disconnect.
+// removing any detach checkpoint left by an earlier disconnect. It deletes
+// the checkpoint before it releases the token, as Detach stores it before,
+// so a resume racing the finish meets ErrSessionActive, and one after it
+// ErrUnknownSession, never the stale checkpoint.
 func (m *Manager) Finish(s *Session) (Result, error) {
 	res, err := s.finish()
 	if err != nil {
@@ -396,10 +399,10 @@ func (m *Manager) Finish(s *Session) (Result, error) {
 		return res, err
 	}
 	s.tslot.SetState(obs.StateFinished)
-	m.release(s.token)
 	if s.persisted {
 		m.store.Delete(s.token) // best-effort: the file may be gone already
 	}
+	m.release(s.token)
 	if m.so.Eventing() {
 		m.so.Event(obs.SessionEvent{
 			Event: obs.EventSessionFinish, Token: s.token, Trace: s.trace.String(), Algo: s.cfg.Algo,

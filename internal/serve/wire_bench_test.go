@@ -8,7 +8,8 @@ package serve
 // frame: writeEdges sealing the frame (varints and CRC) into a pooled,
 // coalescing frame.IO. Decode is the server's: a pooled frame.IO read (CRC
 // check) plus parseEdgesInto into a MaxBatch edge buffer. Both report
-// ns/edge and allocate nothing per op.
+// ns/edge and allocate nothing per op. DecodeWide is Decode on random set
+// IDs wide enough for 3-byte varints.
 //
 // L3 (BenchmarkWireEdgesPipe) is one whole kk session over net.Pipe: a
 // Client drives Server.handle through hello, the frames and finish, so the
@@ -23,6 +24,7 @@ import (
 	"testing"
 
 	"streamcover/internal/frame"
+	"streamcover/internal/setcover"
 	"streamcover/internal/stream"
 	"streamcover/internal/workload"
 	"streamcover/internal/xrand"
@@ -83,7 +85,32 @@ func BenchmarkWireEdgesEncode(b *testing.B) {
 }
 
 func BenchmarkWireEdgesDecode(b *testing.B) {
-	edges := benchWireStream()
+	benchDecode(b, benchWireStream(), benchN, benchM)
+}
+
+// BenchmarkWireEdgesDecodeWide is the L1 decode rung on streams whose set
+// IDs need 3-byte varints: uniformly random sets below m, a fixed seed,
+// n=300 and as many edges as servebench's stream. At m=40000 three sets
+// in five take 3 bytes, at m=2^20 nearly all do, so the block kernel
+// keeps stopping and hands most edges to the scalar kernel.
+func BenchmarkWireEdgesDecodeWide(b *testing.B) {
+	count := len(benchWireStream())
+	for _, m := range []int{40000, 1 << 20} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			rng := xrand.New(1)
+			edges := make([]stream.Edge, count)
+			for i := range edges {
+				edges[i] = stream.Edge{Set: setcover.SetID(rng.IntN(m)), Elem: setcover.Element(rng.IntN(benchN))}
+			}
+			benchDecode(b, edges, benchN, m)
+		})
+	}
+}
+
+// benchDecode times the server's side of L1 on edges sent in
+// benchFrameEdges-edge frames: a pooled frame.IO read (CRC check) plus
+// parseEdgesInto into a MaxBatch edge buffer, per frame.
+func benchDecode(b *testing.B, edges []stream.Edge, n, m int) {
 	var wire bytes.Buffer
 	frames := sendStream(b, newFrameIO(&wire), edges)
 
@@ -98,7 +125,7 @@ func BenchmarkWireEdgesDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := parseEdgesInto(payload[1:], dst, benchN, benchM); err != nil {
+			if _, err := parseEdgesInto(payload[1:], dst, n, m); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -74,13 +74,12 @@ func AppendEdges(b []byte, edges []Edge) []byte {
 // continuation bit c, then the high 7 bits (zero when c is 0).
 func uvarint14(v, c uint32) uint32 { return v&0x7f | c<<7 | v>>7<<8 }
 
-// DecodeEdges decodes edges in AppendEdges' layout from b[pos:] into dst
-// while a worst-case edge (two maximal varints) fits in what is left of b,
-// and returns how many it decoded and the position after them. It stops
-// before an edge that is truncated, overflows, or has a set not below m or
-// an element not below n. Callers finish with their own per-edge loop,
-// which takes the last few edges of b and the edge the kernel stopped
-// before, and owns every rejection and its error string.
+// decodeEdgesScalar is DecodeEdges' portable kernel and the reference its
+// block kernel is held to. It decodes edges in AppendEdges' layout from
+// b[pos:] into dst while a worst-case edge (two maximal varints) fits in
+// what is left of b, and returns how many it decoded and the position
+// after them. It stops before an edge that is truncated, overflows, or has
+// a set not below m or an element not below n.
 //
 // Each step loads the edge's first 4 bytes. When neither varint runs past
 // 2 bytes, as for every ID below 2^14, it takes each width from the first
@@ -90,7 +89,7 @@ func uvarint14(v, c uint32) uint32 { return v&0x7f | c<<7 | v>>7<<8 }
 // wider varint to binary.Uvarint. The load slices b[pos : pos+4 : pos+4]:
 // with a constant capacity the compiler skips the pointer masking that
 // b[pos:] would add to the loop-carried chain through pos.
-func DecodeEdges(b []byte, pos int, dst []Edge, m, n uint64) (int, int) {
+func decodeEdgesScalar(b []byte, pos int, dst []Edge, m, n uint64) (int, int) {
 	end := len(b) - 2*binary.MaxVarintLen64
 	for i := range dst {
 		if pos > end {
