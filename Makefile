@@ -38,8 +38,8 @@ experiments-full:
 
 # Tier-1 gate (ROADMAP.md) and the whole of CI's test step: static checks
 # and builds with and without the observability layer, static checks of
-# the non-amd64 file set (GOARCH=arm64, so the portable edge decoder keeps
-# compiling beside the amd64 block kernel), the race-enabled
+# the non-amd64 file set (GOARCH=arm64, so the portable edge encoder and
+# decoder keep compiling beside the amd64 block kernels), the race-enabled
 # test suite, the suite again with observability compiled out (obsoff), a
 # one-iteration smoke of the perf-tracked benchmarks (the in-process
 # EndToEnd and FileReplay rows and the WireEdges serving rungs), and the one
@@ -71,7 +71,8 @@ cluster-smoke:
 	$(GO) run ./internal/tools/clustersmoke
 
 # Run every fuzz target for a ~10s budget each: the stream codec, the edge
-# decoder's block and scalar kernels against each other, the on-disk File
+# decoder's block and scalar kernels against each other, the edge
+# encoder's block and scalar kernels against each other, the on-disk File
 # reader, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
 # decoders, alg1's trace-section decoder, and the SCWIRE1, SCSTOR1 and
 # SCRING1 parsers (go test allows one -fuzz target per invocation).
@@ -80,6 +81,7 @@ cluster-smoke:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzEdgeKernels -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
+	$(GO) test -fuzz FuzzEdgeEncoders -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzFile -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzValidate -fuzztime 10s -fuzzminimizetime 1s ./internal/stream/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/orlib/

@@ -215,6 +215,73 @@ func TestLifecycleSessionsRunNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestLifecycleRecyclesEdgeBuffers holds a warm session cycle — open, feed,
+// finish, one after another on one manager — to under 16 KiB of
+// allocation, half the 32 KiB ingest buffer a session would allocate if
+// it did not take a stopped session's from the manager's free-list.
+func TestLifecycleRecyclesEdgeBuffers(t *testing.T) {
+	cfg := testConfig()
+	edges := testEdges(cfg)
+	mgr, err := NewManager(store.NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func(i int) {
+		s := mustOpen(t, mgr, fmt.Sprintf("cycle-%d", i), cfg)
+		feed(s, edges)
+		if res, err := mgr.Finish(s); err != nil || res.Edges != len(edges) {
+			t.Fatalf("Finish %s: edges=%d err=%v, want %d", s.Token(), res.Edges, err, len(edges))
+		}
+	}
+	cycle(-1) // leaves one buffer on the free-list
+	const cycles = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle(i)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / cycles; got >= 16<<10 {
+		t.Fatalf("a warm open/feed/finish cycle allocated %d bytes, want under 16 KiB", got)
+	}
+}
+
+// TestLifecycleStoppedSessionHasNoBuffer checks that Detach and Finish
+// take a session's ingest buffer away: its Reserve returns nil, and the
+// next session to open gets the buffer, so a late Reserve on the stopped
+// session cannot write into a live one's.
+func TestLifecycleStoppedSessionHasNoBuffer(t *testing.T) {
+	cfg := testConfig()
+	edges := testEdges(cfg)
+	mgr, err := NewManager(store.NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, detach := range []bool{false, true} {
+		s := mustOpen(t, mgr, fmt.Sprintf("stopped-%v", detach), cfg)
+		feed(s, edges)
+		buf := s.Reserve()
+		if detach {
+			_, err = mgr.Detach(s, "test-detach")
+		} else {
+			_, err = mgr.Finish(s)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Reserve(); got != nil {
+			t.Fatalf("detach=%v: a stopped session's Reserve returned %d slots, want none", detach, len(got))
+		}
+		next := mustOpen(t, mgr, fmt.Sprintf("next-%v", detach), cfg)
+		if got := next.Reserve(); len(got) != MaxBatch || &got[0] != &buf[0] {
+			t.Fatalf("detach=%v: the next session did not take the stopped session's buffer", detach)
+		}
+		if _, err := mgr.Finish(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // lifecycleGoroutine returns the stack of a goroutine other than the
 // caller's that has a frame in a non-test function of this package, or was
 // started by one, or "" if there is none.

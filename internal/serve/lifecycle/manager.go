@@ -77,6 +77,8 @@ type Manager struct {
 	localCkpt map[string]struct{}
 
 	stripes [lockStripes]managerStripe
+
+	bufs edgeBufs // ingest buffers of stopped sessions
 }
 
 // NewManager creates a manager persisting detach checkpoints in st. so may
@@ -235,7 +237,7 @@ func (m *Manager) Open(token string, trace obs.TraceID, cfg Config) (*Session, e
 		trace = obs.NewTraceID()
 	}
 	tslot := m.so.AcquireSession(token, cfg.Algo, trace, false, 0)
-	s := newSession(token, trace, cfg, alg, 0, m.so, tslot)
+	s := m.newSession(token, trace, cfg, alg, 0, tslot)
 	// A minted token holds a store-side reservation blob; marking the
 	// session persisted makes Finish delete it, exactly as it would a real
 	// detach checkpoint.
@@ -313,7 +315,7 @@ func (m *Manager) Resume(token string, trace obs.TraceID, cfg Config) (*Session,
 		trace = obs.NewTraceID()
 	}
 	tslot := m.so.AcquireSession(token, cfg.Algo, trace, true, int64(pos))
-	s := newSession(token, trace, cfg, alg, pos, m.so, tslot)
+	s := m.newSession(token, trace, cfg, alg, pos, tslot)
 	s.persisted = true
 	m.adopt(token, s)
 	m.so.SessionOpened(true)

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"fmt"
+	"sync"
 
 	"streamcover/internal/obs"
 	"streamcover/internal/space"
@@ -14,6 +15,44 @@ import (
 // 32 KiB) modest enough to hold hundreds of concurrent sessions. The
 // transport enforces the same bound on edges frames.
 const MaxBatch = 4096
+
+// maxPooledBufs bounds a manager's free-list of ingest buffers, so a burst
+// of concurrent sessions does not pin its buffers forever.
+const maxPooledBufs = 256
+
+// edgeBufs is a manager's free-list of ingest buffers, so a session opened
+// or resumed after another has stopped takes its buffer instead of
+// allocating 32 KiB. It is a plain free-list, as frame.Pool is, rather
+// than a sync.Pool, which drops its contents at every GC cycle.
+type edgeBufs struct {
+	mu sync.Mutex
+	xs [][]stream.Edge
+}
+
+// get returns a free buffer of MaxBatch edges, or a new one.
+func (p *edgeBufs) get() []stream.Edge {
+	p.mu.Lock()
+	var buf []stream.Edge
+	if n := len(p.xs); n > 0 {
+		buf = p.xs[n-1]
+		p.xs[n-1] = nil
+		p.xs = p.xs[:n-1]
+	}
+	p.mu.Unlock()
+	if buf == nil {
+		buf = make([]stream.Edge, MaxBatch)
+	}
+	return buf
+}
+
+// put takes back a buffer no session holds any more.
+func (p *edgeBufs) put(buf []stream.Edge) {
+	p.mu.Lock()
+	if len(p.xs) < maxPooledBufs {
+		p.xs = append(p.xs, buf)
+	}
+	p.mu.Unlock()
+}
 
 // Session runs one algorithm instance fed from outside the package. The
 // transport decodes each edge batch into the buffer Reserve returns (zero
@@ -29,7 +68,8 @@ type Session struct {
 	cfg   Config
 	alg   stream.Algorithm
 	bp    stream.BatchProcessor // alg's batched path; nil when it has none
-	buf   []stream.Edge         // the ingest buffer Reserve hands out
+	buf   []stream.Edge         // the ingest buffer Reserve hands out; nil once stopped
+	bufs  *edgeBufs             // the manager's free-list buf returns to
 	pos   int                   // stream position the algorithm state corresponds to
 
 	stopped   bool // Detach or Finish has retired the session
@@ -38,10 +78,10 @@ type Session struct {
 	tslot     *obs.SessionSlot // per-session telemetry row (nil when off)
 }
 
-// newSession wraps alg (built for cfg) with its ingest buffer. pos is the
-// stream position the algorithm state corresponds to (0 for new sessions,
-// the checkpoint position for resumed ones).
-func newSession(token string, trace obs.TraceID, cfg Config, alg stream.Algorithm, pos int, so *obs.ServeObs, tslot *obs.SessionSlot) *Session {
+// newSession wraps alg (built for cfg) with an ingest buffer from m's
+// free-list. pos is the stream position the algorithm state corresponds to
+// (0 for new sessions, the checkpoint position for resumed ones).
+func (m *Manager) newSession(token string, trace obs.TraceID, cfg Config, alg stream.Algorithm, pos int, tslot *obs.SessionSlot) *Session {
 	bp, _ := alg.(stream.BatchProcessor)
 	return &Session{
 		token: token,
@@ -49,9 +89,10 @@ func newSession(token string, trace obs.TraceID, cfg Config, alg stream.Algorith
 		cfg:   cfg,
 		alg:   alg,
 		bp:    bp,
-		buf:   make([]stream.Edge, MaxBatch),
+		buf:   m.bufs.get(),
+		bufs:  &m.bufs,
 		pos:   pos,
-		so:    so,
+		so:    m.so,
 		tslot: tslot,
 	}
 }
@@ -69,7 +110,9 @@ func (s *Session) Config() Config { return s.cfg }
 // Reserve returns the session's ingest buffer (capacity MaxBatch) for the
 // caller to decode an edge batch into. The buffer is reused by every
 // batch: its contents are only read by the next Enqueue. A caller whose
-// decode fails simply does not Enqueue.
+// decode fails simply does not Enqueue. Once Detach or Finish has stopped
+// the session, its buffer belongs to the manager's free-list and Reserve
+// returns nil.
 func (s *Session) Reserve() []stream.Edge { return s.buf }
 
 // Enqueue applies the first n edges of the Reserve buffer to the
@@ -113,7 +156,7 @@ func (s *Session) finish() (Result, error) {
 	if err := s.live(); err != nil {
 		return Result{}, err
 	}
-	s.stopped = true
+	s.retire()
 	res := Result{Edges: s.pos, Cover: s.alg.Finish()}
 	if rep, ok := s.alg.(space.Reporter); ok {
 		res.Space = rep.Space()
@@ -127,6 +170,17 @@ func (s *Session) stop() (int, error) {
 	if err := s.live(); err != nil {
 		return 0, err
 	}
-	s.stopped = true
+	s.retire()
 	return s.pos, nil
+}
+
+// retire marks the session stopped and returns its ingest buffer to the
+// manager's free-list. Every path that stops a session (Detach, Finish, and
+// fail, which only ever sees a session one of them has stopped) comes
+// through here once, so the buffer returns once, and Reserve cannot hand a
+// late caller a buffer another session now holds.
+func (s *Session) retire() {
+	s.stopped = true
+	s.bufs.put(s.buf)
+	s.buf = nil
 }

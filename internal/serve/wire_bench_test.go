@@ -8,8 +8,8 @@ package serve
 // frame: writeEdges sealing the frame (varints and CRC) into a pooled,
 // coalescing frame.IO. Decode is the server's: a pooled frame.IO read (CRC
 // check) plus parseEdgesInto into a MaxBatch edge buffer. Both report
-// ns/edge and allocate nothing per op. DecodeWide is Decode on random set
-// IDs wide enough for 3-byte varints.
+// ns/edge and allocate nothing per op. EncodeWide and DecodeWide are the
+// same on random set IDs wide enough for 3-byte varints.
 //
 // L3 (BenchmarkWireEdgesPipe) is one whole kk session over net.Pipe: a
 // Client drives Server.handle through hello, the frames and finish, so the
@@ -72,7 +72,24 @@ func reportNsPerEdge(b *testing.B, edges int) {
 }
 
 func BenchmarkWireEdgesEncode(b *testing.B) {
-	edges := benchWireStream()
+	benchEncode(b, benchWireStream())
+}
+
+// BenchmarkWireEdgesEncodeWide is the L1 encode rung on benchWideStream:
+// with set IDs of 2^14 or more in most blocks of four edges, the block
+// encoder keeps stopping and hands most edges to the scalar one.
+func BenchmarkWireEdgesEncodeWide(b *testing.B) {
+	for _, m := range benchWideMs {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			benchEncode(b, benchWideStream(m))
+		})
+	}
+}
+
+// benchEncode times the client's side of L1 on edges: writeEdges sealing
+// benchFrameEdges-edge frames (varints and CRC) into a pooled, coalescing
+// frame.IO whose writes are discarded.
+func benchEncode(b *testing.B, edges []stream.Edge) {
 	f := clientFrames.Get(benchConn{Writer: io.Discard})
 	defer clientFrames.Put(f)
 	sendStream(b, f, edges) // warm the write buffer
@@ -88,23 +105,30 @@ func BenchmarkWireEdgesDecode(b *testing.B) {
 	benchDecode(b, benchWireStream(), benchN, benchM)
 }
 
-// BenchmarkWireEdgesDecodeWide is the L1 decode rung on streams whose set
-// IDs need 3-byte varints: uniformly random sets below m, a fixed seed,
-// n=300 and as many edges as servebench's stream. At m=40000 three sets
-// in five take 3 bytes, at m=2^20 nearly all do, so the block kernel
-// keeps stopping and hands most edges to the scalar kernel.
+// BenchmarkWireEdgesDecodeWide is the L1 decode rung on benchWideStream.
+// The block decoder keeps stopping at 3-byte varints and hands most edges
+// to the scalar kernel.
 func BenchmarkWireEdgesDecodeWide(b *testing.B) {
-	count := len(benchWireStream())
-	for _, m := range []int{40000, 1 << 20} {
+	for _, m := range benchWideMs {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			rng := xrand.New(1)
-			edges := make([]stream.Edge, count)
-			for i := range edges {
-				edges[i] = stream.Edge{Set: setcover.SetID(rng.IntN(m)), Elem: setcover.Element(rng.IntN(benchN))}
-			}
-			benchDecode(b, edges, benchN, m)
+			benchDecode(b, benchWideStream(m), benchN, m)
 		})
 	}
+}
+
+// benchWideMs are the set counts of the wide rungs: at m=40000 three sets
+// in five need 3-byte varints, at m=2^20 nearly all do.
+var benchWideMs = []int{40000, 1 << 20}
+
+// benchWideStream is as many edges as servebench's stream, with sets drawn
+// uniformly below m and elements below n=300, at a fixed seed.
+func benchWideStream(m int) []stream.Edge {
+	rng := xrand.New(1)
+	edges := make([]stream.Edge, len(benchWireStream()))
+	for i := range edges {
+		edges[i] = stream.Edge{Set: setcover.SetID(rng.IntN(m)), Elem: setcover.Element(rng.IntN(benchN))}
+	}
+	return edges
 }
 
 // benchDecode times the server's side of L1 on edges sent in

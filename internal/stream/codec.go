@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"streamcover/internal/setcover"
 )
@@ -40,20 +39,17 @@ var ErrCorrupt = errors.New("stream: corrupt stream file")
 // It wraps ErrCorrupt, so errors.Is(err, ErrCorrupt) holds for both.
 var ErrTruncated = fmt.Errorf("%w (truncated)", ErrCorrupt)
 
-// AppendEdges appends edges to b in the layout SCSTRM1 and SCWIRE1 share,
-// a uvarint set then a uvarint element per edge, and returns the extended
-// slice. It grows b once, to the worst case of two maximal varints per
-// edge, and writes by index. An edge whose set and element both lie in
-// [0, 2^14), one or two bytes each, is written with no branch on either
-// width: the continuation bit is computed, both encodings go out in one
-// 4-byte store, and the cursor advances by the widths actually used. Any
-// other edge (wider IDs, or negative ones, which sign-extend to 10-byte
-// varints) falls back to binary.PutUvarint. The bytes are
-// binary.AppendUvarint's.
-func AppendEdges(b []byte, edges []Edge) []byte {
-	at := len(b)
-	worst := 2 * binary.MaxVarintLen64 * len(edges)
-	b = slices.Grow(b, worst)[:at+worst]
+// appendEdgesScalar is AppendEdges' portable kernel and the reference its
+// block kernel is held to. It writes edges into b from at, a uvarint set
+// then a uvarint element per edge, and returns the position after them; b
+// must hold 2*binary.MaxVarintLen64 bytes per edge from at. An edge whose
+// set and element both lie in [0, 2^14), one or two bytes each, is written
+// with no branch on either width: the continuation bit is computed, both
+// encodings go out in one 4-byte store, and the cursor advances by the
+// widths actually used. Any other edge (wider IDs, or negative ones, which
+// sign-extend to 10-byte varints) falls back to binary.PutUvarint. The
+// bytes are binary.AppendUvarint's.
+func appendEdgesScalar(b []byte, at int, edges []Edge) int {
 	for _, e := range edges {
 		s, u := uint32(e.Set), uint32(e.Elem)
 		if s|u >= 1<<14 {
@@ -66,7 +62,7 @@ func AppendEdges(b []byte, edges []Edge) []byte {
 		binary.LittleEndian.PutUint32(b[at:at+4:at+4], uvarint14(s, cs)|uvarint14(u, cu)<<(8*ws&31))
 		at += int(ws + 1 + cu)
 	}
-	return b[:at]
+	return at
 }
 
 // uvarint14 is the uvarint encoding of v < 2^14 as a little-endian uint16,

@@ -1,19 +1,24 @@
 package stream
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
 
-// useBlockKernel selects DecodeEdges' SSSE3 block kernel. It is set once,
-// from CPUID: amd64's baseline promises only SSE2, and the kernel needs
-// SSSE3's PSHUFB.
+// useBlockKernel selects the SSSE3 block kernels of DecodeEdges and
+// AppendEdges. It is set once, from CPUID: amd64's baseline promises only
+// SSE2, and the kernels need SSSE3's PSHUFB.
 var useBlockKernel = cpuHasSSSE3()
 
 const (
 	// blockShortRun is the shortest block-kernel run after which
-	// DecodeEdges steps over the kernel's stop with one scalar edge. A
-	// shorter run means stops are dense, as where many IDs need 3-byte
-	// varints, and there a kernel call per stop costs more than the kernel
-	// saves: the scalar kernel takes the next blockShortRun edges, twice
-	// as many after each further short run, until a long run resets it.
+	// DecodeEdges steps over the kernel's stop with one scalar edge, and
+	// AppendEdges with one scalar block. A shorter run means stops are
+	// dense, as where many IDs need 3-byte varints, and there a kernel call
+	// per stop costs more than the kernel saves: the scalar kernel takes
+	// the next blockShortRun edges, twice as many after each further short
+	// run, until a long run resets it.
 	blockShortRun = 8
 
 	// blockSlack is how far short of len(b) the block kernel's window
@@ -71,6 +76,65 @@ func DecodeEdges(b []byte, pos int, dst []Edge, m, n uint64) (int, int) {
 	return i + d, next
 }
 
+// AppendEdges appends edges to b in the layout SCSTRM1 and SCWIRE1 share,
+// a uvarint set then a uvarint element per edge, and returns the extended
+// slice; the bytes are binary.AppendUvarint's. It grows b once, to the
+// worst case of two maximal varints per edge, and writes by index, so
+// bytes past the returned length, up to that worst case, may be
+// overwritten.
+//
+// With SSSE3 a block kernel runs first: each step encodes four edges whose
+// IDs all lie in [0, 2^14) with one PSHUFB and one 16-byte store
+// (DESIGN.md §4j). It stops at a block with any other ID; the scalar
+// kernel, appendEdgesScalar, takes that block's four edges, or more after
+// a short run (blockShortRun), and the block kernel re-enters. The scalar
+// kernel takes the last 0–3 edges.
+func AppendEdges(b []byte, edges []Edge) []byte {
+	at := len(b)
+	worst := 2 * binary.MaxVarintLen64 * len(edges)
+	b = slices.Grow(b, worst)[:at+worst]
+	i := 0
+	if useBlockKernel {
+		scalarRun := blockShortRun
+		for {
+			k, next := encodeBlock(b, at, edges[i:], &encodeShuffle, &encodeLength)
+			i, at = i+k, next
+			if len(edges)-i < 4 {
+				break
+			}
+			run := 4
+			if k < blockShortRun {
+				run, scalarRun = min(scalarRun, len(edges)-i), 2*scalarRun
+			} else {
+				scalarRun = blockShortRun
+			}
+			at = appendEdgesScalar(b, at, edges[i:i+run])
+			i += run
+		}
+	}
+	return b[:appendEdgesScalar(b, at, edges[i:])]
+}
+
+// encodeBlock is AppendEdges' block kernel (edges_amd64.s). From
+// edges[0] and b[at], each step loads four edges, packs their eight IDs
+// into 16-bit lanes, forms each lane's 1–2-byte uvarint, compacts the
+// lanes with the PSHUFB control shuffle[c] and stores 16 bytes, where c
+// holds one bit per lane, set iff its ID needs a second byte; it advances
+// by length[c] bytes. It returns how many edges it encoded and the
+// position after them, and stops when fewer than 4 edges or 16 bytes of b
+// are left, or before a block with an ID outside [0, 2^14).
+//
+//go:noescape
+func encodeBlock(b []byte, at int, edges []Edge, shuffle *[256][16]byte, length *[256]uint8) (k, next int)
+
+// encodeShuffle holds the block encoder's PSHUFB controls: for each c, the
+// low byte of every lane in order, each followed by its high byte where c
+// has the lane's bit. Bytes past them are zero.
+var encodeShuffle [256][16]byte
+
+// encodeLength is the bytes a block of four edges takes: 8 + popcount(c).
+var encodeLength [256]uint8
+
 // decodeBlock is the block kernel (edges_amd64.s). From b[pos:], each step
 // loads 16 bytes, looks the continuation bits of the first 12 up in index,
 // spreads the edges they hold into 16-bit lanes with shuffle's PSHUFB
@@ -105,6 +169,23 @@ var blockIndex [1 << 12]uint32
 var blockShuffle [blockLayouts][16]byte
 
 func init() {
+	for c := range encodeShuffle {
+		ctl := &encodeShuffle[c]
+		at := 0
+		for lane := 0; lane < 8; lane++ {
+			ctl[at] = byte(2 * lane)
+			at++
+			if c>>lane&1 == 1 {
+				ctl[at] = byte(2*lane + 1)
+				at++
+			}
+		}
+		for ; at < 16; at++ {
+			ctl[at] = 0x80 // PSHUFB writes zero
+		}
+		encodeLength[c] = uint8(8 + bits.OnesCount8(uint8(c)))
+	}
+
 	ids := make(map[[16]byte]int, blockLayouts)
 	for mask := range blockIndex {
 		var ctl [16]byte

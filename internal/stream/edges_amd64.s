@@ -74,6 +74,88 @@ done:
 	MOVQ AX, next+88(FP)
 	RET
 
+// func encodeBlock(b []byte, at int, edges []Edge, shuffle *[256][16]byte, length *[256]uint8) (k, next int)
+//
+// Registers: DI b, AX at, R8 the last at a 16-byte store may start at;
+// SI edges, CX edges encoded, R9 the last count a 4-edge load may start
+// at; R10 shuffle, R11 length; X7 0xffffc000 in every dword, X6 0x007f
+// (127) and X5 0x3f80 in every word, X4 0x0080 in every word, X3 zero.
+TEXT ·encodeBlock(SB), NOSPLIT, $0-88
+	MOVQ b_base+0(FP), DI
+	MOVQ b_len+8(FP), R8
+	MOVQ at+24(FP), AX
+	MOVQ edges_base+32(FP), SI
+	MOVQ edges_len+40(FP), R9
+	MOVQ shuffle+56(FP), R10
+	MOVQ length+64(FP), R11
+	XORQ CX, CX
+	SUBQ $16, R8
+	JLT  encdone
+	SUBQ $4, R9
+	JLT  encdone
+	PCMPEQL X7, X7
+	PSLLL   $14, X7
+	PCMPEQW X6, X6
+	PSRLW   $9, X6
+	MOVO    X6, X5
+	PSLLW   $7, X5
+	PCMPEQW X4, X4
+	PSRLW   $15, X4
+	PSLLW   $7, X4
+	PXOR    X3, X3
+
+encloop:
+	// Unsigned, so a negative at stops before any store.
+	CMPQ AX, R8
+	JHI  encdone
+	CMPQ CX, R9
+	JHI  encdone
+	MOVOU (SI)(CX*8), X0
+	MOVOU 16(SI)(CX*8), X1
+
+	// Every ID must lie in [0, 2^14): no bit of 0xffffc000 set, which
+	// also rules out negative ones.
+	MOVO     X0, X2
+	POR      X1, X2
+	PAND     X7, X2
+	PCMPEQL  X3, X2
+	PMOVMSKB X2, BX
+	CMPL     BX, $0xffff
+	JNE      encdone
+
+	// Lanes s0 u0 s1 u1 s2 u2 s3 u3; c = v > 127, and each lane's
+	// uvarint is v&0x7f | c<<7 | v>>7<<8, where v + v&0x3f80 gives the
+	// first and third terms.
+	PACKSSLW X1, X0
+	MOVO     X0, X1
+	PCMPGTW  X6, X1
+	MOVO     X0, X2
+	PAND     X5, X2
+	PADDW    X2, X0
+	MOVO     X1, X2
+	PAND     X4, X2
+	POR      X2, X0
+
+	// The eight c flags index the PSHUFB control that keeps each lane's
+	// low byte and, where c is set, its high byte.
+	PACKSSWB X1, X1
+	PMOVMSKB X1, BX
+	MOVBLZX  BX, BX
+	MOVQ     BX, DX
+	SHLQ     $4, DX
+	MOVOU    (R10)(DX*1), X2
+	PSHUFB   X2, X0
+	MOVOU    X0, (DI)(AX*1)
+	MOVBLZX  (R11)(BX*1), BX // 8 + popcount(c)
+	ADDQ     BX, AX
+	ADDQ     $4, CX
+	JMP      encloop
+
+encdone:
+	MOVQ CX, k+72(FP)
+	MOVQ AX, next+80(FP)
+	RET
+
 // func cpuHasSSSE3() bool
 TEXT ·cpuHasSSSE3(SB), NOSPLIT, $0-1
 	MOVL  $1, AX
