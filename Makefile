@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-save bench-diff experiments experiments-full check paper-check cluster-smoke fuzz-smoke fmt vet examples clean
+.PHONY: build test race bench bench-save bench-diff bench-ab experiments experiments-full check paper-check cluster-smoke fuzz-smoke fmt vet examples clean
 
 build:
 	$(GO) build ./...
@@ -18,16 +18,55 @@ bench:
 
 # Snapshot the perf-tracked benchmarks (EndToEnd*, FileReplay, the on-disk
 # SCSTRM1 replay, Scaling, Adoption, the Checkpoint* SCCKPT1 codec rungs,
-# and WireEdges*, the SCWIRE1 edge codec and net.Pipe session rungs in
-# internal/serve) into the next BENCH_<n>.json; three -count samples are
-# folded to the per-benchmark noise floor (min ns/op, max throughput) by
-# scbenchdiff. bench-diff compares the two most recent snapshots and fails
-# on ns/op, allocs/op or throughput regression beyond the threshold.
+# and WireEdges*, the kk kernel, SCWIRE1 edge codec and net.Pipe session
+# rungs in internal/serve) into the next BENCH_<n>.json; three -count
+# samples are folded to the per-benchmark noise floor (min ns/op, max
+# throughput) by scbenchdiff. -cpu 1 fixes GOMAXPROCS, so edges/sec/core
+# means the same in every snapshot whatever the host's core count.
+# bench-diff compares the two most recent snapshots and fails on ns/op,
+# allocs/op or throughput regression beyond the threshold.
+PERF_BENCH = EndToEnd|FileReplay|Scaling|Adoption|Checkpoint|WireEdges
+
 bench-save:
-	$(GO) test -run '^$$' -bench 'EndToEnd|FileReplay|Scaling|Adoption|Checkpoint|WireEdges' -benchmem -count 3 . ./internal/serve/ | $(GO) run ./cmd/scbenchdiff -save
+	$(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchmem -cpu 1 -count 3 . ./internal/serve/ | $(GO) run ./cmd/scbenchdiff -save
 
 bench-diff:
 	$(GO) run ./cmd/scbenchdiff -diff
+
+# A/B gate: the same benchmarks, this tree against BASE (by default its
+# merge base with main, or with origin/main in a clone with no local main,
+# as CI's is) on the same host in the same minutes. BASE's tree comes from
+# git archive; its test binaries and this tree's (root package and
+# internal/serve) are built with go test -c and run alternately at -cpu 1
+# for four 0.5 s rounds, BASE first in odd rounds. scbenchdiff folds each
+# side to its min-of-4 and fails on the metrics bench-diff gates beyond
+# ×1.20; a benchmark on one side only is listed, not gated.
+BASE ?= $(shell git merge-base HEAD main 2>/dev/null || git merge-base HEAD origin/main)
+
+bench-ab:
+	@test -n "$(BASE)" || { echo "bench-ab: no merge base with main; set BASE=<revision>"; exit 1; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	echo "bench-ab: base $(BASE)"; \
+	mkdir -p "$$tmp/base" "$$tmp/snap"; \
+	git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base-root.test" . && $(GO) test -c -o "$$tmp/base-serve.test" ./internal/serve/); \
+	$(GO) test -c -o "$$tmp/head-root.test" .; \
+	$(GO) test -c -o "$$tmp/head-serve.test" ./internal/serve/; \
+	for round in 1 2 3 4; do \
+		if [ $$((round % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then src="$$tmp/base"; else src="$(CURDIR)"; fi; \
+			echo "bench-ab: round $$round, $$side"; \
+			for pkg in root serve; do \
+				dir="$$src"; [ $$pkg = root ] || dir="$$src/internal/serve"; \
+				(cd "$$dir" && "$$tmp/$$side-$$pkg.test" -test.run '^$$' -test.bench '$(PERF_BENCH)' \
+					-test.benchmem -test.cpu 1 -test.benchtime 0.5s -test.timeout 20m) >> "$$tmp/$$side.txt"; \
+			done; \
+		done; \
+	done; \
+	$(GO) run ./cmd/scbenchdiff -save -dir "$$tmp/snap" < "$$tmp/base.txt"; \
+	$(GO) run ./cmd/scbenchdiff -save -dir "$$tmp/snap" < "$$tmp/head.txt"; \
+	$(GO) run ./cmd/scbenchdiff -diff -dir "$$tmp/snap"
 
 # Regenerate the evaluation tables (quick) / the EXPERIMENTS.md-scale run.
 experiments:

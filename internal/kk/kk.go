@@ -25,6 +25,7 @@ package kk
 import (
 	"math"
 	"math/bits"
+	"math/rand/v2"
 	"sync"
 
 	"streamcover/internal/dense"
@@ -43,11 +44,16 @@ type Algorithm struct {
 	n, m  int
 	sqrtN int
 	rng   *xrand.Rand
-	// probs[l] is inclusionProb(l), tabled so that a level-up reads its
-	// coin's bias instead of calling math.Ldexp. The table covers every
-	// level whose coin can miss: m < 2^31 and √n ≥ 1 put level 31 at
-	// probability ≥ 1. It is derived from (n, m), not snapshotted.
-	probs [32]float64
+	pcg   *rand.PCG // rng's generator, drawn from inline by plainBlock
+	// levels[l] holds level l's coin, inclusionProb(l) as an
+	// xrand.Threshold, and how many sets have reached level l. It runs to
+	// the first level whose coin is certain (the top): a set that reaches
+	// it is sampled and climbs no further. The coins are derived from
+	// (n, m) and the tallies from deg, so SCSTATE1 carries neither.
+	levels []kkLevel
+	// stale marks tallies that miss the levels a Restore brought in:
+	// LevelCounts and Finish recount them from deg first.
+	stale bool
 
 	sink *obs.Sink // decision-event sink; nil (inert) unless a hub is installed
 	pos  int64     // edges processed, stamped on emitted events
@@ -69,9 +75,15 @@ type Algorithm struct {
 	firstFree    int              // elements with no first-set record yet
 	cert         []setcover.SetID // output certificate
 
-	patched     int   // sets added by the patching phase, for reporting
-	levelCounts []int // cached at Finish, when deg is recycled
-	finished    bool
+	patched  int // sets added by the patching phase, for reporting
+	finished bool
+}
+
+// kkLevel is one rung of the degree ladder: the coin a set flips when its
+// degree reaches the rung, and how many sets have reached it.
+type kkLevel struct {
+	coin    xrand.Threshold
+	reached int
 }
 
 // kkScratch bundles the recyclable per-run arrays (everything but the
@@ -129,6 +141,7 @@ func New(n, m int, rng *xrand.Rand) *Algorithm {
 		m:       m,
 		sqrtN:   int(math.Max(1, math.Round(math.Sqrt(float64(n))))),
 		rng:     rng,
+		pcg:     rng.PCG(),
 		sc:      sc,
 		deg:     sc.deg,
 		sol:     sc.sol,
@@ -142,9 +155,18 @@ func New(n, m int, rng *xrand.Rand) *Algorithm {
 		a.cert[u] = setcover.NoSet
 	}
 	a.firstFree = n
-	for lvl := range a.probs {
-		a.probs[lvl] = a.inclusionProb(lvl)
+	// inclusionProb is positive, so no threshold is 0: a coin that does
+	// not draw is certain. No level-up reaches level 0 (only a restored
+	// word no run reaches can), but the ladder runs past it to level 1.
+	a.levels = make([]kkLevel, 0, 16)
+	for lvl := 0; ; lvl++ {
+		c := xrand.NewThreshold(a.inclusionProb(lvl))
+		a.levels = append(a.levels, kkLevel{coin: c})
+		if lvl > 0 && !c.Draws() {
+			break
+		}
 	}
+	a.levels[0].reached = m
 	// The degree array is the algorithm's defining Θ(m) state; the three
 	// per-element structures are the Õ(n) bookkeeping every regime carries.
 	a.StateMeter.Add(int64(m))
@@ -153,7 +175,8 @@ func New(n, m int, rng *xrand.Rand) *Algorithm {
 }
 
 // inclusionProb is the level-i inclusion probability min(1, 2^i·√n/m).
-// Ldexp keeps large i finite (+Inf), which Coin clamps to certainty.
+// Ldexp keeps large i finite (+Inf), which NewThreshold clamps to
+// certainty.
 func (a *Algorithm) inclusionProb(level int) float64 {
 	return math.Ldexp(float64(a.sqrtN)/float64(a.m), level)
 }
@@ -165,12 +188,16 @@ func (a *Algorithm) Process(e stream.Edge) { a.process(e) }
 // of three schedules, chosen from the algorithm's own state and
 // byte-identical to per-edge Process (same writes, coin flips and events;
 // the equivalence tests in the repository root and the resume tests here
-// hold them together). All of them hand a level-up to levelUp.
+// hold them together).
 //
 //   - cold (coldBlock), until the first set is sampled: sol is empty and
 //     nothing is covered, so an edge only records R(u) and bumps d(S).
+//     Once every R(u) is recorded, only d(S) moves, and a loop with no call
+//     in it runs up to the next level-up, which goes to levelUp.
 //   - plain (plainBlock), below kkDenseCoverage: nearly every edge carries
 //     work, so the per-edge body runs with the arrays hoisted into locals.
+//     A level-up whose coin fails is handled in the loop; only a sampled
+//     set calls out, to sample.
 //   - mask, above it: edges are staged into a per-element id block, two
 //     gather passes (internal/dense) pack "still uncovered" and "first set
 //     unrecorded" into mask words — 64 edges per word — and only the set
@@ -178,7 +205,7 @@ func (a *Algorithm) Process(e stream.Edge) { a.process(e) }
 //     stage-time masks over-approximate activity and the body's exact
 //     re-checks keep the path byte-identical. A fully saturated block
 //     (coveredCount == n, no missing first records) is skipped with one
-//     compare.
+//     compare. A level-up goes to levelUp.
 func (a *Algorithm) ProcessBatch(edges []stream.Edge) {
 	for len(edges) > 0 {
 		k := len(edges)
@@ -270,10 +297,48 @@ func (a *Algorithm) processBlock(edges []stream.Edge) {
 
 // coldBlock is the schedule before the first sample. With sol empty no edge
 // meets a sampled set and no element is covered, so the per-edge body
-// shrinks to the first-record check and the degree bump. It returns the
-// edges after the one whose coin selected the first set, or none if no
-// coin did.
+// shrinks to the first-record check and the degree bump, and to the degree
+// bump alone once every element has its R(u). It returns the edges after
+// the one whose coin selected the first set, or none if no coin did.
 func (a *Algorithm) coldBlock(edges []stream.Edge) []stream.Edge {
+	if a.firstFree > 0 {
+		return a.coldFirstBlock(edges)
+	}
+	deg := a.deg
+	sqrtN := int32(a.sqrtN)
+	for {
+		i := coldDegrees(deg, edges, sqrtN)
+		a.pos += int64(i)
+		if i == len(edges) {
+			return nil
+		}
+		a.pos++
+		e := edges[i]
+		if a.levelUp(e.Elem, e.Set, deg[e.Set]+1, a.pos) {
+			return edges[i+1:]
+		}
+		edges = edges[i+1:]
+	}
+}
+
+// coldDegrees bumps d(S) for each edge in turn and stops at the first edge
+// that would take its set to the next level. It returns that edge's index,
+// its count not yet bumped, or len(edges) if no edge does.
+func coldDegrees(deg []int32, edges []stream.Edge, sqrtN int32) int {
+	for i, e := range edges {
+		d := deg[e.Set] + 1
+		if d&degLowMask == sqrtN {
+			return i
+		}
+		deg[e.Set] = d
+	}
+	return len(edges)
+}
+
+// coldFirstBlock is the cold schedule while some element still lacks its
+// R(u), the first few thousand edges of a stream: the first-record check,
+// the degree bump and a call to levelUp at each level-up.
+func (a *Algorithm) coldFirstBlock(edges []stream.Edge) []stream.Edge {
 	first, deg := a.first, a.deg
 	sqrtN := int32(a.sqrtN)
 	pos := a.pos
@@ -298,10 +363,14 @@ func (a *Algorithm) coldBlock(edges []stream.Edge) []stream.Edge {
 // plainBlock is the sparse-coverage schedule: the per-edge body with the
 // arrays hoisted into locals (one bounds-checked slice header load each
 // instead of a pointer chase per edge), identical write-for-write and
-// coin-for-coin to the mask path above.
+// coin-for-coin to the mask path above. Here a level-up comes every few
+// edges and nearly always fails its coin, so the loop runs levelUp itself
+// up to a failed coin, drawing from the PCG inline, and calls only sample.
+// A call would spill the loop's registers at every level-up.
 func (a *Algorithm) plainBlock(edges []stream.Edge) {
 	first, covered, cert, deg := a.first, a.covered, a.cert, a.deg
-	sol := a.sol
+	sol, levels, pcg, sink := a.sol, a.levels, a.pcg, a.sink
+	top := uint32(len(levels) - 1)
 	sqrtN := int32(a.sqrtN)
 	pos := a.pos
 	for _, e := range edges {
@@ -316,18 +385,30 @@ func (a *Algorithm) plainBlock(edges []stream.Edge) {
 				covered[u] = true
 				a.coveredCount++
 				cert[u] = s
-				a.sink.Emit(obs.KindCertWrite, pos, int64(u), int64(s), -1)
+				sink.Emit(obs.KindCertWrite, pos, int64(u), int64(s), -1)
 			}
 			continue
 		}
 		if covered[u] {
 			continue
 		}
-		if d := deg[s] + 1; d&degLowMask != sqrtN {
+		d := deg[s] + 1
+		if d&degLowMask != sqrtN {
 			deg[s] = d
-		} else {
-			a.levelUp(u, s, d, pos)
+			continue
 		}
+		// levelUp, up to its coin. No threshold in levels is 0, so a coin
+		// that does not draw comes up heads, as CoinAt decides it.
+		level := d>>degLevelShift + 1
+		deg[s] = level << degLevelShift
+		lv := &levels[min(uint32(level), top)]
+		lv.reached++
+		sink.Emit(obs.KindLevelUp, pos, int64(s), int64(level), int64(level-1))
+		if c := lv.coin; c.Draws() && !c.Admits(pcg.Uint64()) {
+			sink.Emit(obs.KindSampleDrop, pos, int64(s), int64(level), 0)
+			continue
+		}
+		a.sample(u, s, level, pos)
 	}
 	a.pos = pos
 }
@@ -362,21 +443,29 @@ func (a *Algorithm) process(e stream.Edge) {
 // next multiple of √n; d is the packed degree after the increment. It bumps
 // S's level, resets its low count, and flips the level's inclusion coin: on
 // heads S joins the solution and covers u. It reports whether S was
-// sampled.
+// sampled. plainBlock repeats it inline up to the coin.
+//
+// Only a restored degree word that no run reaches can take a set past the
+// top of the ladder (or below level 0). Such a level-up flips the top's
+// coin, which is certain, as every coin above it is, and counts in the
+// top's tally, which Restore has marked stale.
 func (a *Algorithm) levelUp(u, s, d int32, pos int64) bool {
-	level := int(d>>degLevelShift) + 1
-	a.deg[s] = int32(level) << degLevelShift
+	level := d>>degLevelShift + 1
+	a.deg[s] = level << degLevelShift
+	lv := &a.levels[min(uint32(level), uint32(len(a.levels)-1))]
+	lv.reached++
 	a.sink.Emit(obs.KindLevelUp, pos, int64(s), int64(level), int64(level-1))
-	var p float64
-	if level < len(a.probs) {
-		p = a.probs[level]
-	} else {
-		p = a.inclusionProb(level)
-	}
-	if !a.rng.Coin(p) {
+	if !a.rng.CoinAt(lv.coin) {
 		a.sink.Emit(obs.KindSampleDrop, pos, int64(s), int64(level), 0)
 		return false
 	}
+	a.sample(u, s, level, pos)
+	return true
+}
+
+// sample adds S, whose coin at level came up heads on edge (S, u), to the
+// solution, and covers u with it.
+func (a *Algorithm) sample(u, s, level int32, pos int64) {
 	a.sol.Set(s)
 	a.solCount++
 	a.StateMeter.Add(space.SetEntryWords)
@@ -385,7 +474,6 @@ func (a *Algorithm) levelUp(u, s, d int32, pos int64) bool {
 	a.cert[u] = s
 	a.sink.Emit(obs.KindSetSelected, pos, int64(s), int64(a.solCount), int64(level))
 	a.sink.Emit(obs.KindCertWrite, pos, int64(u), int64(s), -1)
-	return true
 }
 
 // deg packing: low 16 bits count within the current level, high bits hold
@@ -398,34 +486,36 @@ const (
 // Finish implements stream.Algorithm: the patching phase covers every
 // element without a witness using its stored first set R(u). It must be
 // called exactly once; the recyclable working arrays are released here.
+// The cover's sets are the sol bits once each R(u) is marked in them, so
+// they come out sorted and without duplicates.
 func (a *Algorithm) Finish() *setcover.Cover {
 	if a.finished {
 		panic("kk: Finish called twice")
 	}
 	a.finished = true
-	patch := 0
-	for u := range a.cert {
-		if a.cert[u] == setcover.NoSet && a.first[u] != setcover.NoSet {
-			patch++
-		}
+	if a.stale {
+		a.tally()
 	}
-	chosen := make([]setcover.SetID, 0, a.solCount+patch)
-	a.sol.ForEach(func(s int32) { chosen = append(chosen, s) })
-	for u := range a.cert {
-		if a.cert[u] == setcover.NoSet && a.first[u] != setcover.NoSet {
-			a.cert[u] = a.first[u]
-			chosen = append(chosen, a.first[u])
+	sol, first, cert := a.sol, a.first, a.cert
+	size := a.solCount
+	for u, w := range cert {
+		if r := first[u]; w == setcover.NoSet && r != setcover.NoSet {
+			cert[u] = r
 			a.patched++
+			if !sol.Test(r) {
+				sol.Set(r)
+				size++
+			}
 		}
 	}
 	a.sink.Count(obs.KindPatch, int64(a.patched))
-	a.levelCounts = a.computeLevelCounts()
-	cov := setcover.NewCover(chosen, a.cert)
+	sets := make([]setcover.SetID, 0, size)
+	sol.ForEach(func(s int32) { sets = append(sets, s) })
 	sc := a.sc
 	a.sc, a.deg, a.covered, a.first = nil, nil, nil, nil
 	a.sol = dense.Bits{}
 	kkPool.Put(sc)
-	return cov
+	return &setcover.Cover{Sets: sets, Certificate: cert}
 }
 
 // Patched returns how many elements the patching phase covered, available
@@ -450,27 +540,41 @@ func (a *Algorithm) ObsAlgo() obs.AlgoID { return obs.AlgoKK }
 // LevelCounts returns |S_i| for i = 0..max: the number of sets whose final
 // uncovered-degree lies in [i·√n, (i+1)·√n). The analysis of [19] shows
 // E|S_i| ≤ ½·E|S_{i-1}|; the E-ABL-KK ablation verifies this decay
-// empirically. Available both mid-stream and after Finish (the counts are
-// snapshotted when the degree array is released).
+// empirically. Available both mid-stream and after Finish: a set's level
+// moves only at a level-up, which tallies it, so the counts come from the
+// tallies rather than from the degree array.
 func (a *Algorithm) LevelCounts() []int {
-	if a.finished {
-		return a.levelCounts
+	if a.stale {
+		a.tally()
 	}
-	return a.computeLevelCounts()
-}
-
-// computeLevelCounts builds the histogram in one pass over deg, growing it
-// when a set sits above every level seen so far.
-func (a *Algorithm) computeLevelCounts() []int {
-	var counts []int
-	for _, d := range a.deg {
-		lvl := int(d >> degLevelShift)
-		if lvl >= len(counts) {
-			counts = append(counts, make([]int, lvl+1-len(counts))...)
+	counts := make([]int, 0, len(a.levels))
+	for l, lv := range a.levels {
+		if lv.reached == 0 {
+			break // no set is at this level or above
 		}
-		counts[lvl]++
+		counts = append(counts, lv.reached)
+		if l > 0 {
+			counts[l-1] -= lv.reached
+		}
 	}
 	return counts
+}
+
+// tally recounts the per-level tallies from the degree words, for a run
+// whose tallies a Restore left stale. A word no run reaches may lie past
+// the top of the ladder; it counts at the top.
+func (a *Algorithm) tally() {
+	top := uint32(len(a.levels) - 1)
+	for l := range a.levels {
+		a.levels[l].reached = 0
+	}
+	for _, d := range a.deg {
+		a.levels[min(uint32(d)>>degLevelShift, top)].reached++
+	}
+	for l := top; l > 0; l-- {
+		a.levels[l-1].reached += a.levels[l].reached
+	}
+	a.stale = false
 }
 
 var _ stream.Algorithm = (*Algorithm)(nil)

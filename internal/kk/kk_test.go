@@ -2,6 +2,7 @@ package kk
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"streamcover/internal/setcover"
@@ -112,6 +113,43 @@ func TestLevelCountsPartitionSets(t *testing.T) {
 	}
 	if total != w.Inst.NumSets() {
 		t.Fatalf("level counts sum to %d, want m=%d", total, w.Inst.NumSets())
+	}
+}
+
+// TestLevelCountsMatchDegrees holds LevelCounts, which reads the per-level
+// tallies, to a histogram of the degree words themselves, at cuts across
+// the stream under both schedules, and after Finish to its last value.
+func TestLevelCountsMatchDegrees(t *testing.T) {
+	w := workload.Planted(xrand.New(11), 300, 4000, 8, 0)
+	edges := stream.Arrange(w.Inst, stream.Random, xrand.New(5))
+	for _, batched := range []bool{false, true} {
+		a := New(300, 4000, xrand.New(1))
+		for lo := 0; lo < len(edges); lo += 1024 {
+			hi := min(lo+1024, len(edges))
+			if batched {
+				a.ProcessBatch(edges[lo:hi])
+			} else {
+				for _, e := range edges[lo:hi] {
+					a.Process(e)
+				}
+			}
+			var want []int
+			for _, d := range a.deg {
+				lvl := int(d >> degLevelShift)
+				for len(want) <= lvl {
+					want = append(want, 0)
+				}
+				want[lvl]++
+			}
+			if got := a.LevelCounts(); !slices.Equal(got, want) {
+				t.Fatalf("batched=%v, %d edges: level counts %v, degree words give %v", batched, hi, got, want)
+			}
+		}
+		last := a.LevelCounts()
+		a.Finish()
+		if got := a.LevelCounts(); !slices.Equal(got, last) || len(got) < 3 {
+			t.Fatalf("batched=%v: level counts after Finish %v, before %v", batched, got, last)
+		}
 	}
 }
 

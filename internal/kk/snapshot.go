@@ -99,5 +99,6 @@ func (a *Algorithm) Restore(rd io.Reader) error {
 		return fmt.Errorf("%w: kk counters solCount=%d coveredCount=%d, state holds %d sets and %d covered elements",
 			snap.ErrCorrupt, a.solCount, a.coveredCount, sol, covered)
 	}
+	a.stale = true
 	return nil
 }

@@ -155,5 +155,74 @@ func TestRestoreRejectsInconsistentCounters(t *testing.T) {
 	}
 }
 
+// TestRestoredUnreachableWordsAgree restores degree words that no run
+// reaches — an unsampled set one edge below the top of the ladder, a word
+// that levels up to level 0, a low count above √n — and feeds the rest of
+// the stream per edge and in frames. Neither may panic, the two must end
+// in the same state and cover, and the level counts must be the degree
+// words' histogram.
+func TestRestoredUnreachableWordsAgree(t *testing.T) {
+	w := workload.Planted(xrand.New(11), 200, 1500, 4, 0)
+	edges := stream.Arrange(w.Inst, stream.Random, xrand.New(5))
+	cut := len(edges) / 2
+	a := New(200, 1500, xrand.New(42))
+	a.ProcessBatch(edges[:cut])
+	var unsampled []int32
+	for _, e := range edges[cut:] {
+		if !a.sol.Test(e.Set) && !slices.Contains(unsampled, e.Set) {
+			unsampled = append(unsampled, e.Set)
+		}
+	}
+	if len(unsampled) < 3 {
+		t.Fatalf("only %d unsampled sets meet the rest of the stream", len(unsampled))
+	}
+	sqrtN := int32(a.sqrtN)
+	a.deg[unsampled[0]] = int32(len(a.levels)-1)<<degLevelShift | (sqrtN - 1)
+	a.deg[unsampled[1]] = -1<<degLevelShift | (sqrtN - 1)
+	a.deg[unsampled[2]] = sqrtN + 3
+	var buf bytes.Buffer
+	if err := a.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restore := func() *Algorithm {
+		b := New(200, 1500, xrand.New(8))
+		if err := b.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	perEdge, batched := restore(), restore()
+	for _, e := range edges[cut:] {
+		perEdge.Process(e)
+	}
+	for lo := cut; lo < len(edges); lo += 1024 {
+		batched.ProcessBatch(edges[lo:min(lo+1024, len(edges))])
+	}
+	var sp, sb bytes.Buffer
+	if err := perEdge.Snapshot(&sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := batched.Snapshot(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sp.Bytes(), sb.Bytes()) {
+		t.Fatal("per-edge and batched runs from the restored state diverged")
+	}
+	top := len(perEdge.levels) - 1
+	want := make([]int, top+1)
+	for _, d := range perEdge.deg {
+		want[min(uint32(d)>>degLevelShift, uint32(top))]++
+	}
+	for len(want) > 1 && want[len(want)-1] == 0 {
+		want = want[:len(want)-1]
+	}
+	if got := perEdge.LevelCounts(); !slices.Equal(got, want) {
+		t.Fatalf("level counts %v, degree words give %v", got, want)
+	}
+	if cp, cb := perEdge.Finish(), batched.Finish(); !cp.Equal(cb) {
+		t.Fatal("per-edge and batched covers differ")
+	}
+}
+
 var _ stream.Snapshotter = (*Algorithm)(nil)
 var _ space.Reporter = (*Algorithm)(nil)

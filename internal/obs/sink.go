@@ -38,11 +38,16 @@ func (s *Sink) Algo() AlgoID {
 
 // Emit records one decision: bumps the per-kind counter and appends the
 // event to the ring. pos is the stream position (edges processed so far);
-// pass -1 when the position is not meaningful at the call site.
+// pass -1 when the position is not meaningful at the call site. Only the
+// guard inlines, so an algorithm's loop pays a compare, not a call, while
+// no hub is installed.
 func (s *Sink) Emit(kind Kind, pos, a, b, c int64) {
-	if !Enabled || s == nil {
-		return
+	if Enabled && s != nil {
+		s.emit(kind, pos, a, b, c)
 	}
+}
+
+func (s *Sink) emit(kind Kind, pos, a, b, c int64) {
 	s.events[kind].Inc()
 	s.ring.record(Event{Pos: pos, A: a, B: b, C: c, Algo: s.algo, Kind: kind})
 }

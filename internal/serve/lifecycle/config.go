@@ -108,7 +108,10 @@ func Algorithms() []string {
 // from cfg.Seed (so a served single-copy run is bit-identical to a local
 // run with the same seed, golden fingerprints included), or an Ensemble of
 // cfg.Copies copies each seeded from one Split of the seed generator —
-// mirroring scrun's -copies seeding.
+// mirroring scrun's -copies seeding. The ensemble runs its copies one
+// after another on the caller's goroutine: its workers would stop only at
+// Finish, so a session that detaches would leave them blocked, holding
+// every copy's state.
 func Build(cfg Config) (stream.Algorithm, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -127,5 +130,7 @@ func Build(cfg Config) (stream.Algorithm, error) {
 	for i := range copies {
 		copies[i] = f(cfg, rng.Split())
 	}
-	return stream.NewEnsemble(copies...), nil
+	ens := stream.NewEnsemble(copies...)
+	ens.SetParallelism(1)
+	return ens, nil
 }

@@ -215,6 +215,93 @@ func TestLifecycleSessionsRunNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestLifecycleEnsembleDetachLeavesNoGoroutines detaches a 4-copy session
+// twenty times on one manager. A served ensemble runs its copies on the
+// session's goroutine, so no worker is left blocked after a detach,
+// holding every copy's state. GOMAXPROCS is raised so that an ensemble
+// choosing its own parallelism would start workers. A resumed session
+// still finishes with the fingerprint of a local run.
+func TestLifecycleEnsembleDetachLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := testConfig()
+	cfg.Copies = 4
+	edges := testEdges(cfg)
+	mgr, err := NewManager(store.NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(edges) / 2
+	cycle := func(i int) {
+		s := mustOpen(t, mgr, fmt.Sprintf("ens-%d", i), cfg)
+		feed(s, edges[:half])
+		if _, err := mgr.Detach(s, "test-detach"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(-1)
+	base := runtime.NumGoroutine()
+	const cycles = 20
+	for i := 0; i < cycles; i++ {
+		cycle(i)
+	}
+	if got := runtime.NumGoroutine(); got > base+2 {
+		t.Fatalf("%d goroutines after %d detached 4-copy sessions, %d before", got, cycles, base)
+	}
+
+	s, pos, err := mgr.Resume("ens-7", obs.TraceID{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(s, edges[pos:])
+	got, err := mgr.Finish(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := stream.RunEdges(alg, edges)
+	want := Result{Edges: ref.Edges, Cover: ref.Cover, Space: ref.Space}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("resumed ensemble fingerprint %016x, local run %016x", got.Fingerprint(), want.Fingerprint())
+	}
+}
+
+// TestLifecycleFinishForgetsCheckpoint runs open → detach → resume →
+// finish cycles on one manager: Finish deletes each session's checkpoint,
+// so the manager must not go on remembering it as written here.
+func TestLifecycleFinishForgetsCheckpoint(t *testing.T) {
+	cfg := testConfig()
+	edges := testEdges(cfg)
+	mgr, err := NewManager(store.NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		token := fmt.Sprintf("forget-%d", i)
+		s := mustOpen(t, mgr, token, cfg)
+		feed(s, edges[:len(edges)/2])
+		if _, err := mgr.Detach(s, "test-detach"); err != nil {
+			t.Fatal(err)
+		}
+		s, pos, err := mgr.Resume(token, obs.TraceID{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(s, edges[pos:])
+		if _, err := mgr.Finish(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr.ckptMu.Lock()
+	left := len(mgr.localCkpt)
+	mgr.ckptMu.Unlock()
+	if left != 0 {
+		t.Fatalf("the manager still remembers %d finished sessions' checkpoints", left)
+	}
+}
+
 // TestLifecycleRecyclesEdgeBuffers holds a warm session cycle — open, feed,
 // finish, one after another on one manager — to under 16 KiB of
 // allocation, half the 32 KiB ingest buffer a session would allocate if

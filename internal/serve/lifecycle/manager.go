@@ -70,9 +70,11 @@ type Manager struct {
 	mintMu sync.Mutex // serializes server-chosen token assignment
 	nextID uint64     // guarded by mintMu
 
-	// localCkpt remembers every token this process has checkpointed, so a
-	// resume can tell a local reattach from a cross-shard adoption (a
-	// checkpoint some other process wrote into the shared store).
+	// localCkpt holds the tokens whose stored checkpoint this process
+	// wrote, so a resume can tell a local reattach from a cross-shard
+	// adoption (a checkpoint some other process wrote into the shared
+	// store). Finish drops the token with the checkpoint; a token that
+	// detaches here and finishes on another shard stays.
 	ckptMu    sync.Mutex
 	localCkpt map[string]struct{}
 
@@ -403,6 +405,9 @@ func (m *Manager) Finish(s *Session) (Result, error) {
 	s.tslot.SetState(obs.StateFinished)
 	if s.persisted {
 		m.store.Delete(s.token) // best-effort: the file may be gone already
+		m.ckptMu.Lock()
+		delete(m.localCkpt, s.token)
+		m.ckptMu.Unlock()
 	}
 	m.release(s.token)
 	if m.so.Eventing() {

@@ -1,8 +1,13 @@
 package serve
 
-// Rungs L1 and L3 of the serving ledger (DESIGN.md §4j), over servebench's
-// session stream — the planted n=300, m=4000, opt=8 instance in random
-// order at seed 1 (72,156 edges), cut into 1024-edge frames.
+// Rungs L0, L1 and L3 of the serving ledger (DESIGN.md §4j), over
+// servebench's session stream — the planted n=300, m=4000, opt=8 instance
+// in random order at seed 1 (72,156 edges), cut into 1024-edge frames.
+//
+// L0 (BenchmarkWireEdgesKernel) is the kk kernel alone: New at seed 1,
+// ProcessBatch per frame and Finish, on one goroutine, as a served
+// session's algorithm sees the stream. It reports ns/edge and the run's
+// state_words.
 //
 // L1 is the SCWIRE1 edge codec on its own. Encode is the client's work per
 // frame: writeEdges sealing the frame (varints and CRC) into a pooled,
@@ -24,6 +29,7 @@ import (
 	"testing"
 
 	"streamcover/internal/frame"
+	"streamcover/internal/kk"
 	"streamcover/internal/setcover"
 	"streamcover/internal/stream"
 	"streamcover/internal/workload"
@@ -69,6 +75,26 @@ func sendStream(tb testing.TB, f *frame.IO, edges []stream.Edge) int {
 func reportNsPerEdge(b *testing.B, edges int) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+}
+
+func BenchmarkWireEdgesKernel(b *testing.B) {
+	edges := benchWireStream()
+	run := func() *kk.Algorithm {
+		alg := kk.New(benchN, benchM, xrand.New(1))
+		for lo := 0; lo < len(edges); lo += benchFrameEdges {
+			alg.ProcessBatch(edges[lo:min(lo+benchFrameEdges, len(edges))])
+		}
+		alg.Finish()
+		return alg
+	}
+	words := run().Space().State // untimed; also warms the scratch pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	reportNsPerEdge(b, len(edges))
+	b.ReportMetric(float64(words), "state_words")
 }
 
 func BenchmarkWireEdgesEncode(b *testing.B) {

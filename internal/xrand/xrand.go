@@ -99,6 +99,12 @@ func (r *Rand) Load(sr *snap.Reader) {
 // Uint64 returns a uniform 64-bit value.
 func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 
+// PCG returns the concrete generator behind r. src wraps it, so its Uint64
+// is r.Uint64: the same value, leaving the same state. A hot loop that
+// holds it draws without a call, since the compiler inlines PCG.Uint64 but
+// no wrapper around it.
+func (r *Rand) PCG() *rand.PCG { return r.pcg }
+
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 { return r.src.Float64() }
 
@@ -119,6 +125,53 @@ func (r *Rand) Coin(p float64) bool {
 		return true
 	}
 	return r.src.Float64() < p
+}
+
+// A Threshold is a coin's probability precomputed for CoinAt, which flips
+// it with one integer compare. NewThreshold(p) flips exactly as Coin(p):
+// Float64 is y/2^53, where y is the low 53 bits of one Uint64, and for an
+// integer y, y/2^53 < p holds exactly when y < ⌈p·2^53⌉. A probability
+// outside (0, 1) is decided without a draw, as Coin decides it.
+type Threshold uint64
+
+// thresholdCertain is the threshold of p ≥ 1: every 53-bit draw lies below
+// it. A p below 1 gives at most 2^53 − 1.
+const thresholdCertain Threshold = 1 << 53
+
+// NewThreshold returns the threshold ⌈p·2^53⌉ of a coin with probability
+// p, 0 for p ≤ 0 and 2^53 for p ≥ 1. It panics on NaN: Coin(NaN) draws and
+// then fails, which no threshold expresses.
+func NewThreshold(p float64) Threshold {
+	switch {
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return thresholdCertain
+	case p != p:
+		panic("xrand: NewThreshold of NaN")
+	}
+	return Threshold(math.Ceil(math.Ldexp(p, 53)))
+}
+
+// CoinAt is Coin(p) for t = NewThreshold(p): the same decisions from the
+// same draws.
+func (r *Rand) CoinAt(t Threshold) bool {
+	if !t.Draws() {
+		return t != 0
+	}
+	return t.Admits(r.pcg.Uint64())
+}
+
+// Draws reports whether flipping t takes a draw: whether its probability
+// lay strictly between 0 and 1. Without a draw, the coin is heads exactly
+// when t is not 0.
+func (t Threshold) Draws() bool { return t-1 < thresholdCertain-1 }
+
+// Admits is the decision of a coin that draws: heads when the low 53 bits
+// of the draw x, the bits Float64 keeps, lie below t. CoinAt and any loop
+// that inlines the draw through PCG share it.
+func (t Threshold) Admits(x uint64) bool {
+	return x&uint64(thresholdCertain-1) < uint64(t)
 }
 
 // Perm returns a uniform permutation of [0, n).

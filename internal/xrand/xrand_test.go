@@ -102,6 +102,75 @@ func TestCoinBias(t *testing.T) {
 	}
 }
 
+// TestThresholdPinnedDraws pins the threshold coin's decision on chosen
+// draws around each threshold t: heads exactly when Float64 of the same
+// draw, its low 53 bits over 2^53, lies below p. The high 11 bits, which
+// Float64 drops, must not matter.
+func TestThresholdPinnedDraws(t *testing.T) {
+	ps := []float64{0x1p-31, 2 * 17.0 / 4000, 0.5, 1 - 0x1p-53}
+	for _, k := range []uint64{1, 3, 12345, 1<<52 + 1, 1<<53 - 2} {
+		p := float64(k) / (1 << 53)
+		ps = append(ps, math.Nextafter(p, 0), p, math.Nextafter(p, 1))
+	}
+	const low53 = 1<<53 - 1
+	for _, p := range ps {
+		th := NewThreshold(p)
+		if !th.Draws() {
+			t.Fatalf("p=%g: threshold %d does not draw", p, th)
+		}
+		for _, y := range []uint64{uint64(th) - 1, uint64(th), uint64(th) + 1, 0, low53} {
+			if y > low53 {
+				continue // t = 2^53 − 1 has no 53-bit draw above it
+			}
+			want := float64(y)/(1<<53) < p
+			for _, high := range []uint64{0, ^uint64(low53)} {
+				if got := th.Admits(y | high); got != want {
+					t.Errorf("p=%g t=%d: draw %#x (low 53 bits %d) gives %v, Float64 gives %v", p, th, y|high, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCoinAtMatchesCoin flips two generators from one seed, one through
+// Coin(p) and one through CoinAt(NewThreshold(p)), over the inclusion
+// probabilities of kk's level ladder for several (n, m) plus the clamped
+// probabilities. Every decision must agree, and so must the state each
+// generator ends in: a coin draws exactly when the other does.
+func TestCoinAtMatchesCoin(t *testing.T) {
+	ps := []float64{0, -1, 1, 1.5}
+	for _, nm := range [][2]int{{300, 4000}, {900, 18000}, {200, 1500}, {64, 16}, {1 << 20, 1<<31 - 1}} {
+		sqrtN := math.Max(1, math.Round(math.Sqrt(float64(nm[0]))))
+		for lvl := 1; ; lvl++ {
+			p := math.Ldexp(sqrtN/float64(nm[1]), lvl)
+			ps = append(ps, p)
+			if p >= 1 {
+				break
+			}
+		}
+	}
+	a, b := New(2024), New(2024)
+	const coins = 10000
+	for i := 0; i < coins; i++ {
+		p := ps[i%len(ps)]
+		if want, got := a.Coin(p), b.CoinAt(NewThreshold(p)); got != want {
+			t.Fatalf("coin %d, p=%g: CoinAt %v, Coin %v", i, p, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatalf("after %d coins the generators' states differ", coins)
+	}
+}
+
+func TestNewThresholdPanicsOnNaN(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewThreshold(NaN) did not panic")
+		}
+	}()
+	NewThreshold(math.NaN())
+}
+
 func TestIntNRange(t *testing.T) {
 	r := New(6)
 	for i := 0; i < 10000; i++ {
