@@ -203,11 +203,14 @@ func BenchmarkScaling(b *testing.B) {
 			{"alg2", func(i int) Algorithm { return NewAdversarial(n, m, 60, NewRand(uint64(i))) }},
 		} {
 			b.Run(fmt.Sprintf("%s/m=%d", tc.name, m), func(b *testing.B) {
-				var state int64
+				// state_words comes from one untimed run at coin seed 0,
+				// so the same code always reports the same number; the
+				// timed runs draw seeds 0..b.N−1.
+				state := RunEdges(tc.mk(0), edges).Space.State
+				b.ResetTimer()
 				cpu0 := cpuSeconds()
 				for i := 0; i < b.N; i++ {
-					res := RunEdges(tc.mk(i), edges)
-					state = res.Space.State
+					RunEdges(tc.mk(i), edges)
 				}
 				// Every algorithm row reports the same metric set —
 				// edges/op, edges/sec, edges/sec/core, edges/cpu-s,

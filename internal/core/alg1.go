@@ -170,10 +170,15 @@ func newState(r resolved, rng *xrand.Rand) *Algorithm {
 // and the in-batch index s/B never exceeds ⌈m/B⌉.
 func countersCap(m, b int) int { return (m + b - 1) / b }
 
-// release returns the dense state to the scratch pool. The evolved
-// generation counters are copied back so a future reuse can invalidate the
-// stamps in O(1).
-func (a *Algorithm) release() {
+// Release implements stream.Releaser: it returns the dense state to the
+// scratch pool without finishing, as Finish does, for a run nothing will
+// read again, such as a served session whose checkpoint is written.
+// The evolved generation counters are copied back so a future reuse can
+// invalidate the stamps in O(1). The run keeps no reference into the
+// returned tables: Finish and ProcessBatch panic, Process panics on an
+// empty table instead of writing into a scratch another run now holds, and
+// Snapshot and Restore fail.
+func (a *Algorithm) Release() {
 	sc := a.sc
 	if sc == nil {
 		return
@@ -187,6 +192,10 @@ func (a *Algorithm) release() {
 	sc.qCur = a.qCur
 	sc.qNext = a.qNext
 	sc.tcounts = a.tcounts
+	a.first, a.e0counts = nil, nil
+	a.marked, a.sol = dense.Bits{}, dense.Bits{}
+	a.counters, a.tcounts = dense.Counts{}, dense.Counts{}
+	a.qCur, a.qNext = dense.StampedSet{}, dense.StampedSet{}
 	putScratch(sc)
 }
 
@@ -238,19 +247,27 @@ func (a *Algorithm) sampleInitialQ() {
 func (a *Algorithm) Process(e stream.Edge) { a.process(e) }
 
 // ProcessBatch implements stream.BatchProcessor: it consumes a contiguous
-// run of edges with one dynamic dispatch, delegating the remainder phase —
-// the long witness-collection suffix — to a dedicated tight loop.
+// run of edges with one dynamic dispatch. The A-phase runs in blocks that
+// end where the current subepoch ends (algBlock), and the remainder phase —
+// the long witness-collection suffix — in a dedicated tight loop; only
+// epoch 0's short prefix goes edge by edge. A run whose state Finish or
+// Release has handed back panics here rather than write into a pooled table.
 func (a *Algorithm) ProcessBatch(edges []stream.Edge) {
-	i := 0
-	for i < len(edges) {
-		if a.phase == phaseRemainder {
-			a.processRemainder(edges[i:])
+	if a.sc == nil && len(edges) > 0 {
+		panic("core: ProcessBatch after Finish or Release")
+	}
+	for len(edges) > 0 {
+		switch a.phase {
+		case phaseRemainder:
+			a.processRemainder(edges)
 			return
-		}
-		p := a.phase
-		for i < len(edges) && a.phase == p {
-			a.process(edges[i])
-			i++
+		case phaseAlgs:
+			k := min(len(edges), a.r.ell[a.ai]-a.subPos)
+			a.algBlock(edges[:k])
+			edges = edges[k:]
+		default:
+			a.process(edges[0])
+			edges = edges[1:]
 		}
 	}
 }
@@ -285,12 +302,86 @@ func (a *Algorithm) process(e stream.Edge) {
 		if !solHit && !a.marked.Test(u) {
 			a.processAlgEdge(u, s)
 		}
-		a.advanceCursor()
+		a.advanceCursor(1)
 
 	case phaseRemainder:
 		a.trace.RemainderEdges++
 	}
 }
+
+// algBlock is the phaseAlgs body of process over edges that all lie in the
+// current subepoch: ProcessBatch ends every block where the subepoch ends,
+// so the cursor, the batch and the special threshold hold for the whole
+// block, and the edge count and cursor move once at its end.
+//
+// An element with a witness is marked (every witness write marks it, and
+// Restore checks it), so its edges — four in five of the A-phase at
+// servebench's shape — have nothing to do but the first-set record. A
+// first pass over up to algStage edges makes the records and lists,
+// without a branch, the edges whose element has no witness; a second runs
+// the body on those alone, in order. A witness written in the second pass
+// only takes work away from later edges, so the body re-checks it, and a
+// block makes the same writes, coins and events as Process. The batch test
+// is batchTest's division-free form of batchOf(s) == sub. An edge that
+// needs T or C goes to track or count, the bodies processAlgEdge shares, so
+// the special-set coins have one body.
+func (a *Algorithm) algBlock(edges []stream.Edge) {
+	first, cert, sol, marked := a.first, a.cert, a.sol, a.marked
+	qCur := a.qCur // Q̃ rotates only at an epoch's end
+	inBatch := a.r.batchTest(a.sub)
+	thr := a.r.specialThreshold(a.ej)
+	free, base := a.firstFree, a.pos
+	n := len(edges)
+	var live [algStage]uint16
+	for len(edges) > 0 {
+		chunk := edges[:min(len(edges), algStage)]
+		k := 0
+		for i, e := range chunk {
+			u := e.Elem
+			if free > 0 && first[u] == setcover.NoSet {
+				first[u] = e.Set
+				free--
+			}
+			live[k] = uint16(i)
+			if cert[u] == setcover.NoSet {
+				k++
+			}
+		}
+		for _, i := range live[:k] {
+			e := chunk[i]
+			u, s := e.Elem, e.Set
+			if cert[u] != setcover.NoSet {
+				continue
+			}
+			pos := base + int(i) + 1
+			if sol.Test(s) {
+				cert[u] = s
+				a.coveredCount++
+				marked.Set(u)
+				a.sink.Emit(obs.KindCertWrite, int64(pos), int64(u), int64(s), -1)
+				continue
+			}
+			if marked.Test(u) {
+				continue
+			}
+			if qCur.Has(s) {
+				a.track(u)
+			}
+			if inBatch.has(s) {
+				a.pos = pos // count's events and SolAdditions read it
+				a.count(u, s, thr)
+			}
+		}
+		base += len(chunk)
+		edges = edges[len(chunk):]
+	}
+	a.firstFree, a.pos = free, base
+	a.trace.APhaseEdges += n
+	a.advanceCursor(n)
+}
+
+// algStage is how many edges algBlock's first pass lists at a time.
+const algStage = 256
 
 // processRemainder is the phaseRemainder body of process run in blocks of
 // up to dense.KernelBlockEdges edges: only first-set recording and witness
@@ -346,21 +437,32 @@ func (a *Algorithm) remainderBlock(edges []stream.Edge) {
 // whose element is unmarked and whose set is outside Sol.
 func (a *Algorithm) processAlgEdge(u setcover.Element, s setcover.SetID) {
 	if a.qCur.Has(s) {
-		if _, firstTouch := a.tcounts.Inc(u); firstTouch {
-			a.StateMeter.Add(space.MapEntryWords)
-		}
+		a.track(u)
+	}
+	if a.batchOf(s) == a.sub {
+		a.count(u, s, a.r.specialThreshold(a.ej))
+	}
+}
+
+// track tallies an edge from a tracked set (in Q̃) to u in T.
+func (a *Algorithm) track(u setcover.Element) {
+	if _, firstTouch := a.tcounts.Inc(u); firstTouch {
+		a.StateMeter.Add(space.MapEntryWords)
 		if a.tcounts.Len() > a.trace.TrackedPeak {
 			a.trace.TrackedPeak = a.tcounts.Len()
 		}
 	}
-	if a.batchOf(s) != a.sub {
-		return
-	}
+}
+
+// count bumps C[S] for an edge from s, a set of the current batch, to u;
+// the set turns special when its count reaches thr, the current epoch's
+// threshold.
+func (a *Algorithm) count(u setcover.Element, s setcover.SetID, thr int32) {
 	c, firstTouch := a.counters.Inc(s / setcover.SetID(a.r.B))
 	if firstTouch {
 		a.StateMeter.Add(space.MapEntryWords)
 	}
-	if c != a.r.specialThreshold(a.ej) {
+	if c != thr {
 		return
 	}
 	// S is special (line 28): eligible for Sol and for tracking next epoch.
@@ -393,10 +495,11 @@ func (a *Algorithm) processAlgEdge(u setcover.Element, s setcover.SetID) {
 	}
 }
 
-// advanceCursor moves the subepoch/epoch/algorithm cursor after every
-// A-phase edge and fires the boundary work.
-func (a *Algorithm) advanceCursor() {
-	a.subPos++
+// advanceCursor moves the subepoch/epoch/algorithm cursor past k A-phase
+// edges, which never run past the current subepoch's end, and fires the
+// boundary work when they reach it.
+func (a *Algorithm) advanceCursor(k int) {
+	a.subPos += k
 	if a.subPos < a.r.ell[a.ai] {
 		return
 	}
@@ -501,11 +604,14 @@ func (a *Algorithm) Finish() *setcover.Cover {
 	if a.finished {
 		panic("core: Finish called twice")
 	}
+	if a.sc == nil {
+		panic("core: Finish after Release")
+	}
 	a.finished = true
 	if a.phase == phaseAlgs {
 		a.enterRemainder()
 	}
-	defer a.release()
+	defer a.Release()
 	if a.trace.Degenerate {
 		// |Sol| reached n: report the trivial one-set-per-element cover,
 		// which is never larger than n sets.
@@ -552,4 +658,5 @@ func (a *Algorithm) ObsAlgo() obs.AlgoID { return obs.AlgoAlg1 }
 
 var _ stream.Algorithm = (*Algorithm)(nil)
 var _ stream.BatchProcessor = (*Algorithm)(nil)
+var _ stream.Releaser = (*Algorithm)(nil)
 var _ space.Reporter = (*Algorithm)(nil)

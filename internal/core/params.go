@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
+
+	"streamcover/internal/setcover"
 )
 
 // Params are the tunable constants of Algorithm 1. The paper's analysis
@@ -114,6 +117,8 @@ type resolved struct {
 	ell     []int // ell[i] = subepoch length of A(i), 1-based (ell[0] unused)
 	p0      float64
 	epoch0P int // epoch-0 detection prefix length (line 7)
+
+	batchMul uint64 // ⌈2^64/B⌉, wrapped to 0 at B = 1: batchTest's constant
 }
 
 // resolve computes the schedule. It panics on invalid shapes; Params fields
@@ -124,6 +129,7 @@ func (p Params) resolve(n, m, N int) resolved {
 	}
 	r := resolved{Params: p, n: n, m: m, N: N}
 	r.B = int(math.Max(1, math.Round(math.Sqrt(float64(n)))))
+	r.batchMul = math.MaxUint64/uint64(r.B) + 1
 	logn := math.Log2(float64(n) + 1)
 	logm := math.Log2(float64(m) + 1)
 
@@ -250,8 +256,54 @@ func (r *resolved) specialThreshold(j int) int32 {
 	return t
 }
 
-// String summarises the schedule for reports and debugging.
+// A batchTest decides batchOf(s) == b for one batch b without a division
+// (Lemire, Kaser and Kurz, "Faster remainder by direct computation", 2019).
+// With c = ⌈2^64/B⌉, a 32-bit x is a multiple of B exactly when
+// x·c mod 2^64 < c, for any B < 2^31. x = s + B − b is below 2^32 for every
+// set id s (an int32) and is a multiple of B exactly when s mod B = b. At
+// B = 1, c wraps to 0, and the test x·c ≤ c − 1 holds for every x, as it
+// should.
+type batchTest struct{ off, mul uint64 }
+
+// batchTest returns the test for batch b ∈ [0, B).
+func (r *resolved) batchTest(b int) batchTest {
+	return batchTest{off: uint64(r.B - b), mul: r.batchMul}
+}
+
+// has reports whether set s is in the test's batch.
+func (t batchTest) has(s setcover.SetID) bool {
+	return (uint64(uint32(s))+t.off)*t.mul <= t.mul-1
+}
+
+// String summarises the schedule for reports and debugging, and is the
+// shape fingerprint of Algorithm 1's snapshots. It formats as
+// fmt.Sprintf("core: n=%d m=%d N=%d B=%d K=%d E=%d epoch0=%d ell=%v p0=%.3g",
+// ..., r.ell[1:], r.p0) would, byte for byte, without fmt: core.New builds
+// it for every run.
 func (r resolved) String() string {
-	return fmt.Sprintf("core: n=%d m=%d N=%d B=%d K=%d E=%d epoch0=%d ell=%v p0=%.3g",
-		r.n, r.m, r.N, r.B, r.K, r.E, r.epoch0P, r.ell[1:], r.p0)
+	b := make([]byte, 0, 96)
+	b = append(b, "core: n="...)
+	b = strconv.AppendInt(b, int64(r.n), 10)
+	b = append(b, " m="...)
+	b = strconv.AppendInt(b, int64(r.m), 10)
+	b = append(b, " N="...)
+	b = strconv.AppendInt(b, int64(r.N), 10)
+	b = append(b, " B="...)
+	b = strconv.AppendInt(b, int64(r.B), 10)
+	b = append(b, " K="...)
+	b = strconv.AppendInt(b, int64(r.K), 10)
+	b = append(b, " E="...)
+	b = strconv.AppendInt(b, int64(r.E), 10)
+	b = append(b, " epoch0="...)
+	b = strconv.AppendInt(b, int64(r.epoch0P), 10)
+	b = append(b, " ell=["...)
+	for i, l := range r.ell[1:] {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
+	}
+	b = append(b, "] p0="...)
+	b = strconv.AppendFloat(b, r.p0, 'g', 3, 64)
+	return string(b)
 }

@@ -20,11 +20,11 @@ const snapVersion = 1
 // the shape fingerprint: a snapshot only restores into an instance built
 // with parameters that resolve to the identical schedule. The trace is
 // written by json.Marshal and read back by decodeTrace, which accepts only
-// that layout. Valid only before Finish (Finish releases the dense state to
-// the pool).
+// that layout. Valid only before Finish or Release (both hand the dense
+// state back to the pool).
 func (a *Algorithm) Snapshot(wr io.Writer) error {
-	if a.finished {
-		return errors.New("core: Snapshot after Finish")
+	if a.sc == nil {
+		return errors.New("core: Snapshot after Finish or Release")
 	}
 	w := snap.NewWriter(wr, "alg1", snapVersion)
 	w.String(a.shape)
@@ -61,8 +61,8 @@ func (a *Algorithm) Snapshot(wr io.Writer) error {
 // constructed instance whose parameters resolve to the same schedule; a
 // failed restore leaves it in an unspecified state that must be discarded.
 func (a *Algorithm) Restore(rd io.Reader) error {
-	if a.finished {
-		return errors.New("core: Restore after Finish")
+	if a.sc == nil {
+		return errors.New("core: Restore after Finish or Release")
 	}
 	r, err := snap.NewReader(rd, "alg1")
 	if err != nil {
@@ -97,6 +97,10 @@ func (a *Algorithm) Restore(rd io.Reader) error {
 	a.ej = r.Int()
 	a.sub = r.Int()
 	a.subPos = r.Int()
+	if r.Err() == nil && a.phase == phaseAlgs && !a.cursorValid() {
+		return fmt.Errorf("%w: A-phase cursor ai=%d ej=%d sub=%d subPos=%d outside K=%d E=%d B=%d",
+			snap.ErrCorrupt, a.ai, a.ej, a.sub, a.subPos, a.r.K, a.r.E, a.r.B)
+	}
 	a.counters.Load(r)
 	a.qCur.Load(r)
 	a.qNext.Load(r)
@@ -108,16 +112,73 @@ func (a *Algorithm) Restore(rd io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 		}
+		if !a.r.tablesFit(&decoded) {
+			return fmt.Errorf("%w: alg1 trace tables do not fit K=%d E=%d", snap.ErrCorrupt, a.r.K, a.r.E)
+		}
 		a.trace = decoded
 	}
 	snap.LoadTracked(r, &a.Tracked)
+	if err := r.Close(); err != nil {
+		return err
+	}
 	// firstFree is derived state (the batch kernels' fast-path counter), not
 	// part of the SCSTATE1 layout: recompute it from the restored records.
+	// The batch kernels also rely on two invariants every run keeps, so
+	// that ProcessBatch stays Process: a witnessed element is marked
+	// (algBlock skips it), and coveredCount counts the witnesses
+	// (remainderBlock skips a block once it reaches n).
 	a.firstFree = 0
 	for _, s := range a.first {
 		if s == setcover.NoSet {
 			a.firstFree++
 		}
 	}
-	return r.Close()
+	covered := 0
+	for u, s := range a.cert {
+		if s == setcover.NoSet {
+			continue
+		}
+		covered++
+		if !a.marked.Test(int32(u)) {
+			return fmt.Errorf("%w: alg1 element %d has witness %d but is unmarked", snap.ErrCorrupt, u, s)
+		}
+	}
+	if covered != a.coveredCount {
+		return fmt.Errorf("%w: alg1 coveredCount=%d, %d elements hold a witness", snap.ErrCorrupt, a.coveredCount, covered)
+	}
+	return nil
+}
+
+// tablesFit reports whether t's per-(algorithm, epoch) tables have the
+// K×E shape New gives them: a special set indexes them by the cursor.
+func (r *resolved) tablesFit(t *Trace) bool {
+	if len(t.Specials) != r.K || len(t.AddedPerAlg) != r.K {
+		return false
+	}
+	for _, row := range t.Specials {
+		if len(row) != r.E {
+			return false
+		}
+	}
+	if !r.TraceSpecialSets {
+		return true
+	}
+	if len(t.SpecialSets) != r.K {
+		return false
+	}
+	for _, row := range t.SpecialSets {
+		if len(row) != r.E {
+			return false
+		}
+	}
+	return true
+}
+
+// cursorValid reports whether the A-phase cursor names a subepoch of the
+// schedule, 1 ≤ ai ≤ K, 1 ≤ ej ≤ E, 0 ≤ sub < B, and a position inside it,
+// 0 ≤ subPos < ℓ[ai]: ProcessBatch sizes its blocks by ℓ[ai] − subPos, and
+// the cursor indexes the trace and the schedule.
+func (a *Algorithm) cursorValid() bool {
+	return a.ai >= 1 && a.ai <= a.r.K && a.ej >= 1 && a.ej <= a.r.E &&
+		a.sub >= 0 && a.sub < a.r.B && a.subPos >= 0 && a.subPos < a.r.ell[a.ai]
 }

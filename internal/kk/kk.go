@@ -207,6 +207,9 @@ func (a *Algorithm) Process(e stream.Edge) { a.process(e) }
 //     (coveredCount == n, no missing first records) is skipped with one
 //     compare. A level-up goes to levelUp.
 func (a *Algorithm) ProcessBatch(edges []stream.Edge) {
+	if a.sc == nil && len(edges) > 0 {
+		panic("kk: ProcessBatch after Finish or Release")
+	}
 	for len(edges) > 0 {
 		k := len(edges)
 		if k > dense.KernelBlockEdges {
@@ -492,6 +495,9 @@ func (a *Algorithm) Finish() *setcover.Cover {
 	if a.finished {
 		panic("kk: Finish called twice")
 	}
+	if a.sc == nil {
+		panic("kk: Finish after Release")
+	}
 	a.finished = true
 	if a.stale {
 		a.tally()
@@ -511,11 +517,23 @@ func (a *Algorithm) Finish() *setcover.Cover {
 	a.sink.Count(obs.KindPatch, int64(a.patched))
 	sets := make([]setcover.SetID, 0, size)
 	sol.ForEach(func(s int32) { sets = append(sets, s) })
+	a.Release()
+	return &setcover.Cover{Sets: sets, Certificate: cert}
+}
+
+// Release implements stream.Releaser: it hands the working arrays back to
+// the pool without finishing, as Finish does at its end. The run keeps no
+// reference into them, so a released run cannot write into arrays another
+// run now holds: Finish and ProcessBatch panic, Process panics on an empty
+// array, and Snapshot and Restore fail.
+func (a *Algorithm) Release() {
 	sc := a.sc
+	if sc == nil {
+		return
+	}
 	a.sc, a.deg, a.covered, a.first = nil, nil, nil, nil
 	a.sol = dense.Bits{}
 	kkPool.Put(sc)
-	return &setcover.Cover{Sets: sets, Certificate: cert}
 }
 
 // Patched returns how many elements the patching phase covered, available
@@ -579,4 +597,5 @@ func (a *Algorithm) tally() {
 
 var _ stream.Algorithm = (*Algorithm)(nil)
 var _ stream.BatchProcessor = (*Algorithm)(nil)
+var _ stream.Releaser = (*Algorithm)(nil)
 var _ space.Reporter = (*Algorithm)(nil)

@@ -15,10 +15,10 @@ const snapVersion = 1
 // Snapshot implements stream.Snapshotter: the complete mid-stream state —
 // generator, degree counters, sampled solution, coverage bookkeeping and
 // space meters — so a restored run finishes bit-identically. Valid only
-// before Finish (Finish releases the working arrays to the pool).
+// before Finish or Release (both hand the working arrays to the pool).
 func (a *Algorithm) Snapshot(wr io.Writer) error {
-	if a.finished {
-		return errors.New("kk: Snapshot after Finish")
+	if a.sc == nil {
+		return errors.New("kk: Snapshot after Finish or Release")
 	}
 	w := snap.NewWriter(wr, "kk", snapVersion)
 	w.Int(a.n)
@@ -41,8 +41,8 @@ func (a *Algorithm) Snapshot(wr io.Writer) error {
 // constructed instance with the same (n, m); a failed restore leaves it in
 // an unspecified state that must be discarded.
 func (a *Algorithm) Restore(rd io.Reader) error {
-	if a.finished {
-		return errors.New("kk: Restore after Finish")
+	if a.sc == nil {
+		return errors.New("kk: Restore after Finish or Release")
 	}
 	r, err := snap.NewReader(rd, "kk")
 	if err != nil {

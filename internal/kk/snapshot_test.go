@@ -98,6 +98,50 @@ func TestSnapshotAfterFinishFails(t *testing.T) {
 	}
 }
 
+// TestReleasedRunFailsLoudly: once Release has handed the working arrays
+// back, every use of the run panics or fails, and none writes into the
+// arrays a new run now holds.
+func TestReleasedRunFailsLoudly(t *testing.T) {
+	w := workload.Planted(xrand.New(3), 60, 300, 6, 0)
+	edges := stream.Arrange(w.Inst, stream.Random, xrand.New(4))
+	a := New(60, 300, xrand.New(7))
+	a.ProcessBatch(edges)
+	a.Release()
+	a.Release() // a second release is a no-op
+
+	b := New(60, 300, xrand.New(7))
+	var before bytes.Buffer
+	if err := b.Snapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a released run did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("ProcessBatch", func() { a.ProcessBatch(edges[:1]) })
+	mustPanic("Process", func() { a.Process(edges[0]) })
+	mustPanic("Finish", func() { a.Finish() })
+	if err := a.Snapshot(&bytes.Buffer{}); err == nil {
+		t.Error("Snapshot of a released run succeeded")
+	}
+	if err := a.Restore(bytes.NewReader(before.Bytes())); err == nil {
+		t.Error("Restore into a released run succeeded")
+	}
+	var after bytes.Buffer
+	if err := b.Snapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("using a released run changed another run's state")
+	}
+	b.Finish()
+}
+
 func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	w := workload.Planted(xrand.New(3), 60, 300, 6, 0)
 	edges := stream.Arrange(w.Inst, stream.Random, xrand.New(4))

@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +13,8 @@ import (
 	"streamcover/internal/serve/store"
 	"streamcover/internal/setcover"
 	"streamcover/internal/stream"
+	"streamcover/internal/workload"
+	"streamcover/internal/xrand"
 )
 
 func testConfig() Config {
@@ -330,6 +333,62 @@ func TestLifecycleRecyclesEdgeBuffers(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / cycles; got >= 16<<10 {
 		t.Fatalf("a warm open/feed/finish cycle allocated %d bytes, want under 16 KiB", got)
+	}
+}
+
+// TestLifecycleDetachResumeReusesState runs warm cycles of an Algorithm 1
+// session at servebench's shape on one manager: open, feed half, Detach,
+// Resume, feed the rest, Finish. A detach hands the algorithm's pooled
+// working state back once the checkpoint is stored — the detached
+// algorithm can no longer snapshot — so the Resume builds from it instead
+// of allocating a fresh one (about 40 KB at this shape). A cycle that
+// reuses it allocates about 35 KB, and about 55 KB under the race
+// detector, whose sync.Pool drops a quarter of what it is given; one that
+// allocates a fresh state on every Resume takes over 110 KB.
+func TestLifecycleDetachResumeReusesState(t *testing.T) {
+	inst := workload.Planted(xrand.New(1), 300, 4000, 8, 0).Inst
+	edges := stream.Arrange(inst, stream.Random, xrand.New(1^0x5eed0f0dde55))
+	cfg := Config{Algo: "alg1", N: 300, M: 4000, StreamLen: len(edges), Seed: 1}
+	mgr, err := NewManager(store.NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	cycle := func(i int) {
+		token := fmt.Sprintf("reuse-%d", i)
+		s := mustOpen(t, mgr, token, cfg)
+		feed(s, edges[:len(edges)/2])
+		if _, err := mgr.Detach(s, "test-detach"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.alg.(stream.Snapshotter).Snapshot(io.Discard); err == nil {
+			t.Fatal("a detached session's algorithm still holds its working state")
+		}
+		s, pos, err := mgr.Resume(token, obs.TraceID{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(s, edges[pos:])
+		res, err := mgr.Finish(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := res.Fingerprint(); want == 0 {
+			want = fp
+		} else if fp != want {
+			t.Fatalf("cycle %d: fingerprint %#x, want %#x", i, fp, want)
+		}
+	}
+	cycle(-1) // warms the pools
+	const cycles = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle(i)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / cycles; got >= 80<<10 {
+		t.Fatalf("a warm open/detach/resume/finish cycle allocated %d bytes, want under 80 KiB", got)
 	}
 }
 

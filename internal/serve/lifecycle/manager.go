@@ -364,7 +364,9 @@ func (m *Manager) putCheckpoint(s *Session, pos int) (int, error) {
 // trace ID — and releases the token. It serves both the graceful detach
 // frame and abrupt disconnects, with cause recording which ("detach-frame",
 // "disconnect", an error string); the two paths must behave identically for
-// disconnect tolerance to hold.
+// disconnect tolerance to hold. Once the checkpoint is written, stored or
+// not, nothing reads the algorithm again, so one that implements
+// stream.Releaser hands its pooled state back for the next Open or Resume.
 func (m *Manager) Detach(s *Session, cause string) (int, error) {
 	pos, err := s.stop()
 	if err != nil {
@@ -372,6 +374,9 @@ func (m *Manager) Detach(s *Session, cause string) (int, error) {
 		return 0, err
 	}
 	n, err := m.putCheckpoint(s, pos)
+	if r, ok := s.alg.(stream.Releaser); ok {
+		r.Release()
+	}
 	if err != nil {
 		err = fmt.Errorf("serve: checkpoint %q: %w", s.token, err)
 		m.fail(s, cause, err)

@@ -746,17 +746,26 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestServeConcurrentSessionsRace runs many simultaneous ensemble sessions
-// through one server under the race detector: twice as many sessions as
-// the lifecycle manager has lock stripes, every other one on a
-// server-minted token, so opens, mints and finishes cross every stripe at
-// once. Every session with the same seed must produce the same bytes.
+// TestServeConcurrentSessionsRace runs many simultaneous sessions through
+// one server under the race detector: twice as many sessions as the
+// lifecycle manager has lock stripes, every other one on a server-minted
+// token, so opens, mints and finishes cross every stripe at once. They
+// alternate between a 4-copy kk ensemble and Algorithm 1, and every third
+// one detaches halfway and resumes on a new connection, so released
+// working states go back to the pools while other sessions take theirs.
+// Every session with the same configuration must produce the same bytes.
 func TestServeConcurrentSessionsRace(t *testing.T) {
 	edges := testEdges(t)
 	srv := startServer(t, ServerConfig{})
 	const sessions = 64 // 2 × lifecycle's 32 lock stripes
-	cfg := Config{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Copies: 4}
-	want := localReference(t, cfg, edges).Fingerprint()
+	cfgs := []Config{
+		{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed, Copies: 4},
+		{Algo: "alg1", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed},
+	}
+	wants := make([]uint64, len(cfgs))
+	for j, cfg := range cfgs {
+		wants[j] = localReference(t, cfg, edges).Fingerprint()
+	}
 
 	var wg sync.WaitGroup
 	fps := make([]uint64, sessions)
@@ -765,22 +774,43 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			cfg := cfgs[i/2%len(cfgs)]
 			c, err := Dial(srv.Addr())
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			defer c.Close()
+			defer func() { c.Close() }()
 			c.Timeout = 60 * time.Second
 			token := "" // odd sessions let the server mint
 			if i%2 == 0 {
 				token = fmt.Sprintf("race-%d", i)
 			}
-			if _, err := c.Hello(token, cfg); err != nil {
+			if token, err = c.Hello(token, cfg); err != nil {
 				errs[i] = err
 				return
 			}
 			fd := Feeder{Edges: edges, Batch: 256 + 64*i} // varied batching must not matter
+			if i%3 == 0 {
+				if err := fd.RunUntil(c, len(edges)/2); err != nil {
+					errs[i] = err
+					return
+				}
+				if _, err := c.Detach(); err != nil {
+					errs[i] = err
+					return
+				}
+				c.Close()
+				if c, err = Dial(srv.Addr()); err != nil {
+					errs[i] = err
+					return
+				}
+				c.Timeout = 60 * time.Second
+				if _, err := c.Resume(token, cfg); err != nil {
+					errs[i] = err
+					return
+				}
+			}
 			res, err := fd.Run(c)
 			if err != nil {
 				errs[i] = err
@@ -794,7 +824,7 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("session %d: %v", i, errs[i])
 		}
-		if fps[i] != want {
+		if want := wants[i/2%len(cfgs)]; fps[i] != want {
 			t.Fatalf("session %d fingerprint %#x, want %#x", i, fps[i], want)
 		}
 	}

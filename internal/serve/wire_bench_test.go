@@ -6,8 +6,9 @@ package serve
 //
 // L0 (BenchmarkWireEdgesKernel) is the kk kernel alone: New at seed 1,
 // ProcessBatch per frame and Finish, on one goroutine, as a served
-// session's algorithm sees the stream. It reports ns/edge and the run's
-// state_words.
+// session's algorithm sees the stream. BenchmarkWireEdgesKernelAlg1 is the
+// same for Algorithm 1 with DefaultParams. Both report ns/edge and the
+// state_words of one untimed run.
 //
 // L1 is the SCWIRE1 edge codec on its own. Encode is the client's work per
 // frame: writeEdges sealing the frame (varints and CRC) into a pooled,
@@ -28,9 +29,11 @@ import (
 	"net"
 	"testing"
 
+	"streamcover/internal/core"
 	"streamcover/internal/frame"
 	"streamcover/internal/kk"
 	"streamcover/internal/setcover"
+	"streamcover/internal/space"
 	"streamcover/internal/stream"
 	"streamcover/internal/workload"
 	"streamcover/internal/xrand"
@@ -78,9 +81,30 @@ func reportNsPerEdge(b *testing.B, edges int) {
 }
 
 func BenchmarkWireEdgesKernel(b *testing.B) {
+	benchKernel(b, func(int) kernel { return kk.New(benchN, benchM, xrand.New(1)) })
+}
+
+func BenchmarkWireEdgesKernelAlg1(b *testing.B) {
+	benchKernel(b, func(streamLen int) kernel {
+		return core.New(benchN, benchM, streamLen, core.DefaultParams(benchN, benchM), xrand.New(1))
+	})
+}
+
+// kernel is what an L0 rung times: an algorithm fed through its batched
+// path that reports its space.
+type kernel interface {
+	stream.Algorithm
+	stream.BatchProcessor
+	space.Reporter
+}
+
+// benchKernel times L0 for the algorithm newAlg builds for a stream of the
+// given length: construction, ProcessBatch per benchFrameEdges-edge frame
+// and Finish.
+func benchKernel(b *testing.B, newAlg func(streamLen int) kernel) {
 	edges := benchWireStream()
-	run := func() *kk.Algorithm {
-		alg := kk.New(benchN, benchM, xrand.New(1))
+	run := func() kernel {
+		alg := newAlg(len(edges))
 		for lo := 0; lo < len(edges); lo += benchFrameEdges {
 			alg.ProcessBatch(edges[lo:min(lo+benchFrameEdges, len(edges))])
 		}

@@ -253,6 +253,22 @@ func (e *Ensemble) Finish() *setcover.Cover {
 	return best
 }
 
+// Release implements Releaser: the workers, if any, stop, and every copy
+// that implements Releaser releases its state. The ensemble is dead
+// afterwards.
+func (e *Ensemble) Release() {
+	e.drain()
+	for _, w := range e.workers {
+		close(w.work)
+	}
+	e.started, e.workers = true, nil // a later batch runs, and panics, on the caller
+	for _, c := range e.copies {
+		if r, ok := c.(Releaser); ok {
+			r.Release()
+		}
+	}
+}
+
 // BatchSize implements BatchSizer by forwarding the most restrictive (i.e.
 // smallest positive) preference among the copies, so the driver's dispatch
 // granularity respects every copy; 0 when no copy has a preference.
@@ -343,6 +359,7 @@ func (e *Ensemble) ObsAlgo() obs.AlgoID { return obs.AlgoEnsemble }
 
 var _ Algorithm = (*Ensemble)(nil)
 var _ BatchProcessor = (*Ensemble)(nil)
+var _ Releaser = (*Ensemble)(nil)
 var _ BatchSizer = (*Ensemble)(nil)
 var _ Snapshotter = (*Ensemble)(nil)
 var _ space.Reporter = (*Ensemble)(nil)

@@ -40,6 +40,34 @@ func TestEnsemblePicksSmallest(t *testing.T) {
 	}
 }
 
+// releasable counts its Release calls.
+type releasable struct {
+	constAlg
+	released int
+}
+
+func (a *releasable) Release() { a.released++ }
+
+// TestEnsembleReleaseForwards: Release stops the workers and reaches every
+// copy that implements Releaser, in both execution modes.
+func TestEnsembleReleaseForwards(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		copies := []*releasable{{constAlg: constAlg{n: 1, sets: []setcover.SetID{0}}}, {constAlg: constAlg{n: 1, sets: []setcover.SetID{0}}}}
+		e := NewEnsemble(copies[0], copies[1], &constAlg{n: 1, sets: []setcover.SetID{0}})
+		e.SetParallelism(par)
+		e.ProcessBatch([]Edge{{Set: 0, Elem: 0}})
+		e.Release()
+		if e.workers != nil {
+			t.Errorf("parallelism %d: workers still running after Release", par)
+		}
+		for i, c := range copies {
+			if c.released != 1 {
+				t.Errorf("parallelism %d: copy %d released %d times, want 1", par, i, c.released)
+			}
+		}
+	}
+}
+
 func TestEnsembleTieBreaksEarliest(t *testing.T) {
 	e := NewEnsemble(
 		&constAlg{n: 1, sets: []setcover.SetID{4}},

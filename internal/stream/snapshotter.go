@@ -29,6 +29,16 @@ type Snapshotter interface {
 	Restore(r io.Reader) error
 }
 
+// Releaser is implemented by algorithms that can hand their pooled working
+// state back without finishing, as Finish does, once nothing will read
+// that state again: a served session releases its algorithm once its
+// detach checkpoint is written, so the next session builds from the pool.
+// A released instance is dead: Finish and ProcessBatch panic, and Snapshot
+// and Restore fail.
+type Releaser interface {
+	Release()
+}
+
 // ErrNotSnapshottable is returned when checkpointing is requested for an
 // algorithm that does not implement Snapshotter.
 var ErrNotSnapshottable = errors.New("stream: algorithm does not support snapshots")

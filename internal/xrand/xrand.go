@@ -183,8 +183,9 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 // SampleK returns k distinct values from [0, n) in random order.
 // It panics if k > n or k < 0.
 //
-// For k much smaller than n it uses rejection from a set; otherwise it uses a
-// partial Fisher-Yates pass, so both tiny and dense samples are cheap.
+// For k much smaller than n it uses rejection, remembering the values drawn
+// in an n-bit set; otherwise it uses a partial Fisher-Yates pass, so both
+// tiny and dense samples are cheap.
 func (r *Rand) SampleK(n, k int) []int {
 	if k < 0 || k > n {
 		panic("xrand: SampleK out of range")
@@ -194,13 +195,14 @@ func (r *Rand) SampleK(n, k int) []int {
 	}
 	if k*8 < n {
 		out := make([]int, 0, k)
-		seen := make(map[int]struct{}, k)
+		seen := make([]uint64, (n+63)/64)
 		for len(out) < k {
 			v := r.src.IntN(n)
-			if _, dup := seen[v]; dup {
+			w, bit := v>>6, uint64(1)<<(v&63)
+			if seen[w]&bit != 0 {
 				continue
 			}
-			seen[v] = struct{}{}
+			seen[w] |= bit
 			out = append(out, v)
 		}
 		return out

@@ -370,3 +370,39 @@ func BenchmarkZipfDraw(b *testing.B) {
 		z.Draw()
 	}
 }
+
+// TestSampleKPinnedDraws pins SampleK's output and the generator's state
+// after it, for fixed seeds and (n, k) on both branches: rejection
+// (k·8 < n) and the partial Fisher–Yates pass. The digest folds every
+// sample in order; the next Uint64 shows the call made the same draws.
+// Every algorithm and workload generator that samples depends on both.
+func TestSampleKPinnedDraws(t *testing.T) {
+	for _, tc := range []struct {
+		seed         uint64
+		n, k         int
+		digest, next uint64
+	}{
+		// Rejection.
+		{1, 4000, 104, 0x50a0910423de54ae, 0x731c8397b4dc1991},
+		{7, 4000, 231, 0x1b15e6aa9e478350, 0x3770c22c2b572881},
+		{2, 1000, 1, 0xaf61f74c85feb46d, 0xfe57a921339b50b9},
+		{3, 100, 12, 0x38f678a841df7fab, 0x4f3da1748cf59e19},
+		{4, 1 << 20, 50, 0x286c1aa92e2958a9, 0x648698c8245fd2c9},
+		{5, 65, 8, 0x62446aeca80fb9fe, 0x83a3e7d77fd043e5},
+		// Partial Fisher–Yates.
+		{1, 100, 13, 0x95147767443924ac, 0x846b2746b6fa200c},
+		{6, 50, 50, 0x7cd99f1d479d0572, 0xc9f8d09071f007b2},
+		{8, 4000, 600, 0x9c7a924378a6cf51, 0x1f0e691262f9ed64},
+		{9, 10, 3, 0xd08bc5186712ed55, 0xd02efb8f9643b9c1},
+	} {
+		r := New(tc.seed)
+		d := uint64(14695981039346656037)
+		for _, v := range r.SampleK(tc.n, tc.k) {
+			d = (d ^ uint64(v)) * 1099511628211
+		}
+		if next := r.Uint64(); d != tc.digest || next != tc.next {
+			t.Errorf("seed %d SampleK(%d, %d): digest %#x, next %#x; want %#x, %#x",
+				tc.seed, tc.n, tc.k, d, next, tc.digest, tc.next)
+		}
+	}
+}
