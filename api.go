@@ -421,7 +421,7 @@ type (
 	// Put/Get/Delete/Reserve interface (FileStore, MemStore, or an
 	// embedder's own backend).
 	ServeCheckpointStore = serve.CheckpointStore
-	// ServeServer accepts SCWIRE1 connections and runs one registered
+	// ServeServer accepts SCWIRE1 connections and runs one served
 	// streaming algorithm per session.
 	ServeServer = serve.Server
 	// ServeClient speaks SCWIRE1 from the feeding side.
@@ -432,8 +432,6 @@ type (
 	// ServeFeeder deterministically replays an edge slice into a session,
 	// including across kill-and-resume cycles.
 	ServeFeeder = serve.Feeder
-	// ServeFactory builds one algorithm copy for a session configuration.
-	ServeFactory = serve.Factory
 	// ServeRouter is the cluster front door: it places sessions on shards
 	// via a consistent-hash ring over the resume token and splices the
 	// connection, failing over in ring order when a shard is down.
@@ -477,11 +475,7 @@ func NewServeStoreServer(backing ServeCheckpointStore) (*serve.StoreServer, erro
 	return serve.NewStoreServer(backing)
 }
 
-// RegisterServeAlgorithm adds a factory so embedders can serve their own
-// streaming algorithms through the session manager.
-func RegisterServeAlgorithm(name string, f ServeFactory) { serve.Register(name, f) }
-
-// ServeAlgorithms lists the registered serveable algorithm names.
+// ServeAlgorithms lists the served algorithm names.
 func ServeAlgorithms() []string { return serve.Algorithms() }
 
 // TraceID is a session's 128-bit end-to-end identity: minted at open,

@@ -40,16 +40,13 @@ func main() {
 		defer fs.Close()
 		hdr := fs.Header()
 		var edges []stream.Edge
-		for {
-			e, ok := fs.Next()
-			if !ok {
-				break
-			}
+		// The CRC is folded into the replay pass; a corrupt or truncated
+		// file surfaces at its end, not at open.
+		err = stream.Pass(fs, func(e stream.Edge) error {
 			edges = append(edges, e)
-		}
-		// The CRC is folded into the replay pass we just finished; a corrupt
-		// or truncated file surfaces here, not at open.
-		if err := fs.Err(); err != nil {
+			return nil
+		})
+		if err != nil {
 			fatalf("read stream: %v", err)
 		}
 		inst, err := stream.InstanceFromEdges(hdr, edges)

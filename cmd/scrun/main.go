@@ -37,7 +37,7 @@ func run() int {
 	flag.Float64Var(&opt.Alpha, "alpha", 0, "approximation target for alg2/es (0 = 2√n)")
 	flag.Uint64Var(&opt.Seed, "seed", 1, "random seed")
 	flag.IntVar(&opt.Budget, "budget", 64, "per-round element sample budget for multipass")
-	flag.IntVar(&opt.Copies, "copies", 1, "parallel ensemble copies (kk/alg2/es)")
+	flag.IntVar(&opt.Copies, "copies", 1, "ensemble copies (kk|alg1|alg2|es), seeded as a served session's")
 	flag.IntVar(&opt.CheckpointEvery, "checkpoint-every", 0, "write a checkpoint every N edges (0 = off)")
 	flag.StringVar(&opt.CheckpointPath, "checkpoint", "", "checkpoint file (default <in>.ckpt)")
 	flag.BoolVar(&opt.Resume, "resume", false, "restore state from the checkpoint file and continue")

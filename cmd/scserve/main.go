@@ -1,6 +1,6 @@
 // Command scserve runs the SCWIRE1 edge-stream ingestion service: it
 // accepts TCP connections from scfeed (or any SCWIRE1 client), runs one
-// registered streaming algorithm per session on the batched hot path, and
+// of the served streaming algorithms per session on the batched hot path, and
 // rides out disconnects by checkpointing detached sessions to a pluggable
 // checkpoint store so a reconnecting client can resume exactly where it
 // left off.

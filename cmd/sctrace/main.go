@@ -20,23 +20,20 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
+	"strings"
 
-	"streamcover/internal/adversarial"
-	"streamcover/internal/core"
-	"streamcover/internal/kk"
 	"streamcover/internal/obs"
+	"streamcover/internal/serve/lifecycle"
 	"streamcover/internal/stream"
-	"streamcover/internal/xrand"
 )
 
 func main() {
 	var (
 		in        = flag.String("in", "stream.scs", "stream file from scgen")
-		algo      = flag.String("algo", "alg1", "algorithm: kk|alg1|alg2")
-		alpha     = flag.Float64("alpha", 0, "approximation target for alg2 (0 = 2√n)")
+		algo      = flag.String("algo", "alg1", "algorithm: "+strings.Join(lifecycle.Algorithms(), "|"))
+		alpha     = flag.Float64("alpha", 0, "approximation target for alg2/es (0 = 2√n)")
 		points    = flag.Int("points", 50, "number of checkpoints")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		decisions = flag.String("decisions", "", "read back a decision trace (SCTRACE1, from -trace-out) and emit it as CSV instead of replaying a stream")
@@ -63,21 +60,11 @@ func main() {
 		fatalf("decode: %v", err)
 	}
 
-	a := *alpha
-	if a <= 0 {
-		a = 2 * math.Sqrt(float64(hdr.N))
-	}
-	rng := xrand.New(*seed)
-	var alg stream.Algorithm
-	switch *algo {
-	case "kk":
-		alg = kk.New(hdr.N, hdr.M, rng)
-	case "alg1":
-		alg = core.New(hdr.N, hdr.M, hdr.E, core.DefaultParams(hdr.N, hdr.M), rng)
-	case "alg2":
-		alg = adversarial.New(hdr.N, hdr.M, a, rng)
-	default:
-		fatalf("unknown algorithm %q (sctrace supports kk|alg1|alg2)", *algo)
+	alg, err := lifecycle.Build(lifecycle.Config{
+		Algo: *algo, N: hdr.N, M: hdr.M, StreamLen: hdr.E, Seed: *seed, Alpha: *alpha,
+	})
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	every := hdr.E / *points

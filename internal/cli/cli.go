@@ -7,15 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 
-	"streamcover/internal/adversarial"
-	"streamcover/internal/core"
-	"streamcover/internal/elementsampling"
 	"streamcover/internal/fractional"
-	"streamcover/internal/kk"
 	"streamcover/internal/multipass"
+	"streamcover/internal/serve/lifecycle"
 	"streamcover/internal/setcover"
 	"streamcover/internal/snap"
 	"streamcover/internal/stream"
@@ -105,7 +102,9 @@ type ReplayOptions struct {
 	Alpha  float64
 	Seed   uint64
 	Budget int // multipass per-round element sample budget
-	Copies int // ensemble copies for kk/alg2/es
+	// Copies > 1 runs an ensemble of that many copies of kk, alg1, alg2
+	// or es, seeded as a served session with the same Copies is.
+	Copies int
 
 	// CheckpointEvery > 0 writes a checkpoint of the algorithm state every
 	// that many edges (streaming algorithms only — not storeall, multipass
@@ -121,17 +120,10 @@ type ReplayOptions struct {
 	StopAfter int
 }
 
-// checkpointable reports whether Replay can checkpoint/resume opt.Algo.
-func (opt ReplayOptions) checkpointable() bool {
-	switch opt.Algo {
-	case "kk", "alg1", "alg2", "es":
-		return true
-	}
-	return false
-}
-
 // Replay decodes a stream file, runs the chosen algorithm, verifies the
-// output, and prints the report.
+// output, and prints the report. kk, alg1, alg2 and es are built by the
+// served algorithm table (lifecycle.Build), so a run reports what a served
+// session with the same seed and copies would.
 func Replay(opt ReplayOptions, stdout io.Writer) error {
 	f, err := os.Open(opt.In)
 	if err != nil {
@@ -151,25 +143,6 @@ func Replay(opt ReplayOptions, stdout io.Writer) error {
 		return fmt.Errorf("greedy reference: %w", err)
 	}
 
-	alpha := opt.Alpha
-	if alpha <= 0 {
-		alpha = 2 * math.Sqrt(float64(hdr.N))
-	}
-	copies := opt.Copies
-	if copies < 1 {
-		copies = 1
-	}
-	rng := xrand.New(opt.Seed)
-	ensemble := func(mk func(r *xrand.Rand) stream.Algorithm) stream.Algorithm {
-		if copies == 1 {
-			return mk(rng.Split())
-		}
-		cs := make([]stream.Algorithm, copies)
-		for i := range cs {
-			cs[i] = mk(rng.Split())
-		}
-		return stream.NewEnsemble(cs...)
-	}
 	header := func(extra string) {
 		fmt.Fprintf(stdout, "stream    n=%d m=%d N=%d (%s)\n", hdr.N, hdr.M, hdr.E, opt.In)
 		fmt.Fprintf(stdout, "algorithm %s%s\n", opt.Algo, extra)
@@ -184,80 +157,17 @@ func Replay(opt ReplayOptions, stdout io.Writer) error {
 		return nil
 	}
 
-	if (opt.CheckpointEvery > 0 || opt.Resume || opt.StopAfter > 0) && !opt.checkpointable() {
+	// Every served algorithm checkpoints; the others cannot.
+	served := slices.Contains(lifecycle.Algorithms(), opt.Algo)
+	if (opt.CheckpointEvery > 0 || opt.Resume || opt.StopAfter > 0) && !served {
 		return fmt.Errorf("algorithm %q does not support checkpoint/resume", opt.Algo)
 	}
 	if opt.StopAfter > 0 && opt.CheckpointEvery <= 0 {
 		return fmt.Errorf("-stop-after requires -checkpoint-every (nothing durable would survive the kill)")
 	}
 
+	rng := xrand.New(opt.Seed)
 	switch opt.Algo {
-	case "kk", "alg1", "alg2", "es", "storeall":
-		var alg stream.Algorithm
-		switch opt.Algo {
-		case "kk":
-			alg = ensemble(func(r *xrand.Rand) stream.Algorithm { return kk.New(hdr.N, hdr.M, r) })
-		case "alg1":
-			alg = core.New(hdr.N, hdr.M, hdr.E, core.DefaultParams(hdr.N, hdr.M), rng)
-		case "alg2":
-			alg = ensemble(func(r *xrand.Rand) stream.Algorithm { return adversarial.New(hdr.N, hdr.M, alpha, r) })
-		case "es":
-			alg = ensemble(func(r *xrand.Rand) stream.Algorithm { return elementsampling.New(hdr.N, hdr.M, alpha, r) })
-		case "storeall":
-			alg = stream.NewStoreAll(hdr.N, hdr.M)
-		}
-
-		ckPath := opt.CheckpointPath
-		if ckPath == "" {
-			ckPath = opt.In + ".ckpt"
-		}
-		policy := stream.CheckpointPolicy{Every: opt.CheckpointEvery, Path: ckPath}
-
-		from := 0
-		if opt.Resume {
-			from, err = stream.ReadCheckpointFile(ckPath, alg)
-			if err != nil {
-				// Keep the typed chain intact (callers match snap's
-				// sentinels) while making the mismatch case actionable:
-				// the usual cause is resuming with different -algo,
-				// -copies, -alpha or input than the checkpointing run.
-				if errors.Is(err, snap.ErrMismatch) {
-					return fmt.Errorf("resume from %s: %w (the checkpoint was written by a different algorithm, copy count or instance shape; rerun with the original -algo/-copies/-alpha and input, or remove the checkpoint to start over)", ckPath, err)
-				}
-				return fmt.Errorf("resume from %s: %w", ckPath, err)
-			}
-			fmt.Fprintf(stdout, "resumed   %s at edge %d\n", ckPath, from)
-		}
-
-		if opt.StopAfter > 0 {
-			pos, err := stream.DrivePartial(alg, stream.NewSlice(edges), policy, opt.StopAfter)
-			if err != nil {
-				return fmt.Errorf("partial run: %w", err)
-			}
-			header(fmt.Sprintf(" (alpha=%.0f where applicable, seed=%d)", alpha, opt.Seed))
-			fmt.Fprintf(stdout, "stopped   at edge %d of %d; last checkpoint %s at edge %d\n",
-				pos, hdr.E, ckPath, pos/opt.CheckpointEvery*opt.CheckpointEvery)
-			return nil
-		}
-
-		var res stream.Result
-		if policy.Every > 0 || from > 0 {
-			res, err = stream.RunCheckpointedFrom(alg, stream.NewSlice(edges), policy, from)
-			if err != nil {
-				return fmt.Errorf("run: %w", err)
-			}
-		} else {
-			res = stream.RunEdges(alg, edges)
-		}
-		if err := report(res.Cover, fmt.Sprintf(" (alpha=%.0f where applicable, seed=%d)", alpha, opt.Seed)); err != nil {
-			return err
-		}
-		if policy.Every > 0 {
-			fmt.Fprintf(stdout, "ckpt      every %d edges -> %s\n", policy.Every, ckPath)
-		}
-		fmt.Fprintf(stdout, "space     %v\n", res.Space)
-		return nil
-
 	case "multipass":
 		budget := opt.Budget
 		if budget < 1 {
@@ -288,8 +198,73 @@ func Replay(opt ReplayOptions, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "space     %v\n", sol.Space)
 		return nil
+	}
 
+	cfg := lifecycle.Config{
+		Algo: opt.Algo, N: hdr.N, M: hdr.M, StreamLen: hdr.E,
+		Seed: opt.Seed, Copies: opt.Copies, Alpha: opt.Alpha,
+	}
+	var alg stream.Algorithm
+	switch {
+	case served:
+		if alg, err = lifecycle.Build(cfg); err != nil {
+			return err
+		}
+	case opt.Algo == "storeall":
+		alg = stream.NewStoreAll(hdr.N, hdr.M)
 	default:
 		return fmt.Errorf("unknown algorithm %q", opt.Algo)
 	}
+
+	ckPath := opt.CheckpointPath
+	if ckPath == "" {
+		ckPath = opt.In + ".ckpt"
+	}
+	policy := stream.CheckpointPolicy{Every: opt.CheckpointEvery, Path: ckPath}
+
+	from := 0
+	if opt.Resume {
+		from, err = stream.ReadCheckpointFile(ckPath, alg)
+		if err != nil {
+			// Keep the typed chain intact (callers match snap's
+			// sentinels) while making the mismatch case actionable:
+			// the usual cause is resuming with different -algo,
+			// -copies, -alpha or input than the checkpointing run.
+			if errors.Is(err, snap.ErrMismatch) {
+				return fmt.Errorf("resume from %s: %w (the checkpoint was written by a different algorithm, copy count or instance shape; rerun with the original -algo/-copies/-alpha and input, or remove the checkpoint to start over)", ckPath, err)
+			}
+			return fmt.Errorf("resume from %s: %w", ckPath, err)
+		}
+		fmt.Fprintf(stdout, "resumed   %s at edge %d\n", ckPath, from)
+	}
+
+	params := fmt.Sprintf(" (alpha=%.0f where applicable, seed=%d)", cfg.ResolvedAlpha(), opt.Seed)
+	if opt.StopAfter > 0 {
+		pos, err := stream.DrivePartial(alg, stream.NewSlice(edges), policy, opt.StopAfter)
+		if err != nil {
+			return fmt.Errorf("partial run: %w", err)
+		}
+		header(params)
+		fmt.Fprintf(stdout, "stopped   at edge %d of %d; last checkpoint %s at edge %d\n",
+			pos, hdr.E, ckPath, pos/opt.CheckpointEvery*opt.CheckpointEvery)
+		return nil
+	}
+
+	var res stream.Result
+	if policy.Every > 0 || from > 0 {
+		res, err = stream.RunCheckpointedFrom(alg, stream.NewSlice(edges), policy, from)
+		if err != nil {
+			return fmt.Errorf("run: %w", err)
+		}
+	} else {
+		res = stream.RunEdges(alg, edges)
+	}
+	if err := report(res.Cover, params); err != nil {
+		return err
+	}
+	if policy.Every > 0 {
+		fmt.Fprintf(stdout, "ckpt      every %d edges -> %s\n", policy.Every, ckPath)
+	}
+	fmt.Fprintf(stdout, "space     %v\n", res.Space)
+	return nil
 }

@@ -2,9 +2,14 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"streamcover/internal/serve/lifecycle"
+	"streamcover/internal/stream"
 )
 
 func genFixture(t *testing.T, opt GenerateOptions) string {
@@ -120,5 +125,51 @@ func TestReplayDeterministicOutput(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("nondeterministic tool output:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// TestReplaySeedsAsServed holds scrun to the served seeding rule that
+// golden_serve_test.go pins: for every served algorithm, alone and as a
+// 3-copy ensemble, Replay reports the cover size and space of a
+// lifecycle.Build run of the same Config. The stream is larger than the
+// default fixture, on which kk seeded from xrand.New(7) and from its first
+// Split happen to report the same cover and space.
+func TestReplaySeedsAsServed(t *testing.T) {
+	g := defaultGen()
+	g.N, g.M, g.Opt = 300, 4000, 8
+	path := genFixture(t, g)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, edges, err := stream.Decode(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range lifecycle.Algorithms() {
+		for _, copies := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s-copies%d", algo, copies), func(t *testing.T) {
+				var out bytes.Buffer
+				if err := Replay(ReplayOptions{In: path, Algo: algo, Seed: 7, Copies: copies}, &out); err != nil {
+					t.Fatal(err)
+				}
+				alg, err := lifecycle.Build(lifecycle.Config{
+					Algo: algo, N: hdr.N, M: hdr.M, StreamLen: hdr.E, Seed: 7, Copies: copies,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := stream.RunEdges(alg, edges)
+				for _, want := range []string{
+					fmt.Sprintf("cover     %d sets ", res.Cover.Size()),
+					fmt.Sprintf("space     %v\n", res.Space),
+				} {
+					if !strings.Contains(out.String(), want) {
+						t.Errorf("scrun output lacks the served run's %q:\n%s", want, out.String())
+					}
+				}
+			})
+		}
 	}
 }

@@ -4,14 +4,11 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"strconv"
 
-	"streamcover/internal/adversarial"
-	"streamcover/internal/core"
-	"streamcover/internal/elementsampling"
-	"streamcover/internal/kk"
 	"streamcover/internal/sched"
+	"streamcover/internal/serve/lifecycle"
 	"streamcover/internal/setcover"
 	"streamcover/internal/stats"
 	"streamcover/internal/stream"
@@ -19,9 +16,6 @@ import (
 	"streamcover/internal/workload"
 	"streamcover/internal/xrand"
 )
-
-// KnownAlgos are the algorithm names Sweep accepts.
-var KnownAlgos = []string{"kk", "alg1", "alg2", "es", "storeall"}
 
 // SweepOptions configure Sweep: the full (algorithm × n × m × order) grid
 // on planted workloads.
@@ -55,14 +49,7 @@ func (opt SweepOptions) Validate() error {
 		return fmt.Errorf("sweep: empty grid dimension")
 	}
 	for _, a := range opt.Algos {
-		known := false
-		for _, k := range KnownAlgos {
-			if a == k {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if a != "storeall" && !slices.Contains(lifecycle.Algorithms(), a) {
 			return fmt.Errorf("sweep: unknown algorithm %q (want one of kk|alg1|alg2|es|storeall)", a)
 		}
 	}
@@ -191,26 +178,18 @@ func runSweepCell(opt SweepOptions, algo string, n, m int, order stream.Order) (
 	if err != nil {
 		return sweepCell{}, fmt.Errorf("sweep: greedy reference n=%d m=%d: %w", n, m, err)
 	}
-	alpha := opt.Alpha
-	if alpha <= 0 {
-		alpha = 2 * math.Sqrt(float64(n))
-	}
 	var covers, ratios, states []float64
 	for rep := 0; rep < opt.Reps; rep++ {
 		rng := xrand.New(cellSeed(opt.Seed, algo, n, m, int(order), rep))
 		edges := stream.Arrange(w.Inst, order, rng.Split())
 		var alg stream.Algorithm
-		switch algo {
-		case "kk":
-			alg = kk.New(n, m, rng.Split())
-		case "alg1":
-			alg = core.New(n, m, len(edges), core.DefaultParams(n, m), rng.Split())
-		case "alg2":
-			alg = adversarial.New(n, m, alpha, rng.Split())
-		case "es":
-			alg = elementsampling.New(n, m, alpha, rng.Split())
-		case "storeall":
+		if algo == "storeall" {
 			alg = stream.NewStoreAll(n, m)
+		} else {
+			cfg := lifecycle.Config{Algo: algo, N: n, M: m, StreamLen: len(edges), Alpha: opt.Alpha}
+			if alg, err = lifecycle.BuildCopy(cfg, rng.Split()); err != nil {
+				return sweepCell{}, fmt.Errorf("sweep: %w", err)
+			}
 		}
 		res := stream.RunEdges(alg, edges)
 		if err := res.Cover.Verify(w.Inst); err != nil {

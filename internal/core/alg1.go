@@ -389,9 +389,9 @@ const algStage = 256
 // edge does neither. Once every element has a first-set record and a
 // certificate, an entire block is skipped with one compare. The inner loop
 // stays scalar by measurement, not oversight: a mask formulation (stage set
-// ids, gather "set ∈ Sol" into activity words via Bits.TestMask, scan set
-// bits) is byte-identical but ~7% slower end to end on the benchmark
-// family, because Sol's hit density is a coverage-independent |Sol|/m —
+// ids, gather "set ∈ Sol" into activity words, scan set bits) is
+// byte-identical but ~7% slower end to end on the benchmark family,
+// because Sol's hit density is a coverage-independent |Sol|/m —
 // activity words stay sparse but never empty — while the scalar loop's two
 // L1 gathers ride perfectly predicted branches. DESIGN.md §4g records the
 // crossover; kk (density-gated) and alg2 (expensive per-edge body) are the

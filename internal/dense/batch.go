@@ -80,21 +80,3 @@ func BoolMask(vals []bool, ids []int32, out []uint64) {
 		ids = ids[len(blk):]
 	}
 }
-
-// TestMask packs 64 bitset membership tests per word: bit i%64 of out[i/64]
-// is set iff b.Test(ids[i]). Tail bits past len(ids) are zero.
-func (b Bits) TestMask(ids []int32, out []uint64) {
-	words := b.words
-	for w := 0; len(ids) > 0; w++ {
-		blk := ids
-		if len(blk) > 64 {
-			blk = blk[:64]
-		}
-		var m uint64
-		for i, id := range blk {
-			m |= (words[uint32(id)>>6] >> (uint32(id) & 63) & 1) << uint(i)
-		}
-		out[w] = m
-		ids = ids[len(blk):]
-	}
-}

@@ -92,35 +92,6 @@ func TestBoolMask(t *testing.T) {
 	}
 }
 
-func TestBitsTestMask(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	const n = 500
-	b := NewBits(n)
-	for i := 0; i < n; i++ {
-		if rng.IntN(4) == 0 {
-			b.Set(int32(i))
-		}
-	}
-	for _, k := range []int{1, 64, 65, 192, 1000} {
-		ids := make([]int32, k)
-		for i := range ids {
-			ids[i] = int32(rng.IntN(n))
-		}
-		out := make([]uint64, MaskWords(k))
-		b.TestMask(ids, out)
-		for i := 0; i < k; i++ {
-			if maskBit(out, i) != b.Test(ids[i]) {
-				t.Fatalf("k=%d bit %d = %v, want %v", k, i, maskBit(out, i), b.Test(ids[i]))
-			}
-		}
-		for i := k; i < 64*len(out); i++ {
-			if maskBit(out, i) {
-				t.Fatalf("k=%d tail bit %d set", k, i)
-			}
-		}
-	}
-}
-
 // The kernels must be allocation-free: they run once per 4096-edge block on
 // the streaming hot path, and the steady-state 0 allocs/edge guards in the
 // repository root (TestSteadyStateProcessBatchAllocs) rely on it.
@@ -128,7 +99,6 @@ func TestKernelsAllocFree(t *testing.T) {
 	const n, k = 1000, KernelBlockEdges
 	vals32 := make([]int32, n)
 	valsB := make([]bool, n)
-	b := NewBits(n)
 	ids := make([]int32, k)
 	for i := range ids {
 		ids[i] = int32(i % n)
@@ -137,7 +107,6 @@ func TestKernelsAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, func() {
 		EqMask32(vals32, ids, -1, out)
 		BoolMask(valsB, ids, out)
-		b.TestMask(ids, out)
 	}); avg != 0 {
 		t.Fatalf("kernels allocated %.1f times per run, want 0", avg)
 	}

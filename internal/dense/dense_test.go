@@ -1,7 +1,10 @@
 package dense
 
 import (
+	"bytes"
 	"testing"
+
+	"streamcover/internal/snap"
 )
 
 func TestBits(t *testing.T) {
@@ -116,5 +119,59 @@ func TestCountsGenerationWrap(t *testing.T) {
 	c.Clear()
 	if c.Get(1) != 0 {
 		t.Fatal("stale count survived generation wrap")
+	}
+}
+
+// TestStampedSetLoadAllocatesNothing: an Algorithm 1 resume loads Q̃ and Q̃'
+// through StampedSet.Load, which must decode on the stack. Loading a saved
+// set allocates exactly what a reader making the same reads into a
+// caller's slice does.
+func TestStampedSetLoadAllocatesNothing(t *testing.T) {
+	const n = 2000
+	s := NewStampedSet(n)
+	for i := int32(0); i < n; i += 3 {
+		s.Add(i)
+	}
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf, "test", 1)
+	s.Save(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	into := NewStampedSet(n)
+	members := make([]int32, s.Len())
+	load := testing.AllocsPerRun(20, func() {
+		r, err := snap.NewReader(bytes.NewBuffer(blob), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		into.Load(r)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	read := testing.AllocsPerRun(20, func() {
+		r, err := snap.NewReader(bytes.NewBuffer(blob), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Int()
+		r.Int()
+		r.FillI32s(members)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if load != read {
+		t.Fatalf("NewReader+Load allocates %.0f times, the same reads without Load %.0f", load, read)
+	}
+	if into.Len() != s.Len() {
+		t.Fatalf("loaded %d members, saved %d", into.Len(), s.Len())
+	}
+	for i := int32(0); i < n; i++ {
+		if into.Has(i) != s.Has(i) {
+			t.Fatalf("member %d: loaded %v, saved %v", i, into.Has(i), s.Has(i))
+		}
 	}
 }

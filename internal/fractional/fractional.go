@@ -107,15 +107,10 @@ func Solve(n, m int, s stream.Stream, opt Options) (*Solution, error) {
 		uncovered := false
 		anySeen := false
 
-		s.Reset()
-		for {
-			e, ok := s.Next()
-			if !ok {
-				break
-			}
+		err := stream.Pass(s, func(e stream.Edge) error {
 			u, set := e.Elem, e.Set
 			if u < 0 || int(u) >= n || set < 0 || int(set) >= m {
-				return nil, fmt.Errorf("fractional: edge %v out of range", e)
+				return fmt.Errorf("fractional: edge %v out of range", e)
 			}
 			anySeen = true
 			if coverage[u] == 0 {
@@ -130,6 +125,10 @@ func Solve(n, m int, s stream.Stream, opt Options) (*Solution, error) {
 				// dominate the set scores.
 				weightAcc[set] += math.Exp(-coverage[u] * math.Ln2 * 4)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		lastChosen = setcover.NoSet
 		if !uncovered || !anySeen {
@@ -186,28 +185,26 @@ func (s *Solution) DualBound(n, m int, st stream.Stream) (float64, error) {
 	weights := make([]float64, n)
 	seen := make([]bool, n)
 	loads := make([]float64, m)
-	st.Reset()
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
+	err := stream.Pass(st, func(e stream.Edge) error {
 		u, set := e.Elem, e.Set
 		if u < 0 || int(u) >= n || set < 0 || int(set) >= m {
-			return 0, fmt.Errorf("fractional: edge %v out of range", e)
+			return fmt.Errorf("fractional: edge %v out of range", e)
 		}
 		if !seen[u] {
 			seen[u] = true
 			weights[u] = math.Exp(-s.Coverage[u] * math.Ln2 * 4)
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	st.Reset()
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
+	err = stream.Pass(st, func(e stream.Edge) error {
 		loads[e.Set] += weights[e.Elem]
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	maxLoad := 0.0
 	for _, l := range loads {
@@ -250,18 +247,17 @@ func Round(n, m int, s stream.Stream, sol *Solution, rng *xrand.Rand) (*setcover
 		cert[u] = setcover.NoSet
 		backup[u] = setcover.NoSet
 	}
-	s.Reset()
-	for {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
+	err := stream.Pass(s, func(e stream.Edge) error {
 		if backup[e.Elem] == setcover.NoSet {
 			backup[e.Elem] = e.Set
 		}
 		if _, in := chosen[e.Set]; in && cert[e.Elem] == setcover.NoSet {
 			cert[e.Elem] = e.Set
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ids := make([]setcover.SetID, 0, len(chosen))
 	for set := range chosen {

@@ -268,15 +268,8 @@ func Run(n, m int, s stream.Stream, opt Options, rng *xrand.Rand) (Result, error
 		return Result{}, err
 	}
 	for a.BeginPass() {
-		s.Reset()
-		for {
-			e, ok := s.Next()
-			if !ok {
-				break
-			}
-			if err := a.ProcessEdge(e); err != nil {
-				return Result{}, err
-			}
+		if err := stream.Pass(s, a.ProcessEdge); err != nil {
+			return Result{}, err
 		}
 		a.EndPass()
 	}

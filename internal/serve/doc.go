@@ -1,7 +1,7 @@
 // Package serve turns the streaming set cover library into a network
 // service: a TCP server that accepts edge-arrival streams over the SCWIRE1
-// wire protocol, a multi-tenant session manager that runs one registered
-// streaming algorithm per session on the library's zero-allocation batch
+// wire protocol, a multi-tenant session manager that runs one of the served
+// streaming algorithms per session on the library's zero-allocation batch
 // path, and a deterministic client used both by the scfeed CLI and as the
 // test/load harness.
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"streamcover/internal/adversarial"
 	"streamcover/internal/core"
@@ -21,7 +20,7 @@ import (
 // reproducible against local ones and resumes checkable against their
 // checkpoints.
 type Config struct {
-	// Algo names a registered algorithm (kk, alg1, alg2, es by default).
+	// Algo names the algorithm: kk, alg1, alg2 or es.
 	Algo string
 	// N and M are the universe size and set count.
 	N, M int
@@ -50,52 +49,39 @@ func (c Config) validate() error {
 	return nil
 }
 
-// alpha resolves the approximation target, defaulting to 2√n like scrun.
-func (c Config) alpha() float64 {
+// ResolvedAlpha is the approximation target alg2 and es run with: Alpha,
+// or 2√n when Alpha is 0.
+func (c Config) ResolvedAlpha() float64 {
 	if c.Alpha > 0 {
 		return c.Alpha
 	}
 	return 2 * math.Sqrt(float64(c.N))
 }
 
-// Factory builds one algorithm copy for a session configuration, drawing
-// coins from rng (already split per copy).
-type Factory func(cfg Config, rng *xrand.Rand) stream.Algorithm
+// factory builds one algorithm copy for a session configuration, drawing
+// coins from rng.
+type factory func(cfg Config, rng *xrand.Rand) stream.Algorithm
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{
-		"kk": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
-			return kk.New(cfg.N, cfg.M, rng)
-		},
-		"alg1": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
-			return core.New(cfg.N, cfg.M, cfg.StreamLen, core.DefaultParams(cfg.N, cfg.M), rng)
-		},
-		"alg2": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
-			return adversarial.New(cfg.N, cfg.M, cfg.alpha(), rng)
-		},
-		"es": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
-			return elementsampling.New(cfg.N, cfg.M, cfg.alpha(), rng)
-		},
-	}
-)
-
-// Register adds (or replaces) an algorithm factory under the given name, so
-// embedders can serve their own streaming algorithms through the same
-// session manager.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("serve: Register needs a name and a factory")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = f
+// registry is the one table that turns an algorithm name into an
+// instance, for served sessions and the offline tools alike. It is never
+// written after initialization.
+var registry = map[string]factory{
+	"kk": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
+		return kk.New(cfg.N, cfg.M, rng)
+	},
+	"alg1": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
+		return core.New(cfg.N, cfg.M, cfg.StreamLen, core.DefaultParams(cfg.N, cfg.M), rng)
+	},
+	"alg2": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
+		return adversarial.New(cfg.N, cfg.M, cfg.ResolvedAlpha(), rng)
+	},
+	"es": func(cfg Config, rng *xrand.Rand) stream.Algorithm {
+		return elementsampling.New(cfg.N, cfg.M, cfg.ResolvedAlpha(), rng)
+	},
 }
 
-// Algorithms lists the registered algorithm names, sorted.
+// Algorithms lists the algorithm names Build accepts, sorted.
 func Algorithms() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	names := make([]string, 0, len(registry))
 	for name := range registry {
 		names = append(names, name)
@@ -104,23 +90,28 @@ func Algorithms() []string {
 	return names
 }
 
-// Build constructs the session algorithm for cfg: one copy seeded straight
-// from cfg.Seed (so a served single-copy run is bit-identical to a local
-// run with the same seed, golden fingerprints included), or an Ensemble of
-// cfg.Copies copies each seeded from one Split of the seed generator —
-// mirroring scrun's -copies seeding. The ensemble runs its copies one
-// after another on the caller's goroutine: its workers would stop only at
-// Finish, so a session that detaches would leave them blocked, holding
-// every copy's state.
-func Build(cfg Config) (stream.Algorithm, error) {
+// lookup validates cfg and returns its algorithm's factory.
+func lookup(cfg Config) (factory, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	regMu.RLock()
 	f, ok := registry[cfg.Algo]
-	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("serve: unknown algorithm %q (registered: %v)", cfg.Algo, Algorithms())
+		return nil, fmt.Errorf("serve: unknown algorithm %q (known: %v)", cfg.Algo, Algorithms())
+	}
+	return f, nil
+}
+
+// Build constructs the algorithm for cfg: one copy drawing its coins from
+// xrand.New(cfg.Seed) itself (so a served single-copy run is bit-identical
+// to a local run with the same seed, golden fingerprints included), or an
+// Ensemble of cfg.Copies copies, copy i drawing from the i-th Split of
+// that generator. The ensemble keeps its default worker mode; a caller
+// that must not start goroutines pins it with SetParallelism.
+func Build(cfg Config) (stream.Algorithm, error) {
+	f, err := lookup(cfg)
+	if err != nil {
+		return nil, err
 	}
 	rng := xrand.New(cfg.Seed)
 	if cfg.Copies <= 1 {
@@ -130,7 +121,16 @@ func Build(cfg Config) (stream.Algorithm, error) {
 	for i := range copies {
 		copies[i] = f(cfg, rng.Split())
 	}
-	ens := stream.NewEnsemble(copies...)
-	ens.SetParallelism(1)
-	return ens, nil
+	return stream.NewEnsemble(copies...), nil
+}
+
+// BuildCopy constructs one copy of cfg's algorithm drawing its coins from
+// rng; cfg.Seed and cfg.Copies are not read. It serves callers that derive
+// each run's generator themselves, as scsweep does per repetition.
+func BuildCopy(cfg Config, rng *xrand.Rand) (stream.Algorithm, error) {
+	f, err := lookup(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return f(cfg, rng), nil
 }

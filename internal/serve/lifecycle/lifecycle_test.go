@@ -271,6 +271,43 @@ func TestLifecycleEnsembleDetachLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestLifecycleEnsembleSessionsStartNoGoroutines: an opened or a resumed
+// Copies > 1 session runs its copies on the goroutine that feeds it, so
+// feeding it starts no ensemble worker, even at a GOMAXPROCS that would
+// give an ensemble left to choose its own parallelism four of them.
+// Detach stops an ensemble's workers either way, so the detach test above
+// cannot see a session that starts them.
+func TestLifecycleEnsembleSessionsStartNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := testConfig()
+	cfg.Copies = 4
+	edges := testEdges(cfg)
+	mgr, err := NewManager(store.NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	s := mustOpen(t, mgr, "ens", cfg)
+	feed(s, edges[:len(edges)/2])
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("an opened 4-copy session runs %d goroutines beyond the %d before it", got-base, base)
+	}
+	if _, err := mgr.Detach(s, "test-detach"); err != nil {
+		t.Fatal(err)
+	}
+	s, pos, err := mgr.Resume("ens", obs.TraceID{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(s, edges[pos:])
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("a resumed 4-copy session runs %d goroutines beyond the %d before it", got-base, base)
+	}
+	if _, err := mgr.Finish(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLifecycleFinishForgetsCheckpoint runs open → detach → resume →
 // finish cycles on one manager: Finish deletes each session's checkpoint,
 // so the manager must not go on remembering it as written here.

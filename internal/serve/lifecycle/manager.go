@@ -192,6 +192,18 @@ func (m *Manager) mintToken() (string, error) {
 	}
 }
 
+// buildSession is Build for a served session. An ensemble runs its copies
+// one after another on the session's goroutine: its workers would stop
+// only at Finish, so a session that detaches would leave them blocked,
+// holding every copy's state.
+func buildSession(cfg Config) (stream.Algorithm, error) {
+	alg, err := Build(cfg)
+	if ens, ok := alg.(*stream.Ensemble); ok {
+		ens.SetParallelism(1)
+	}
+	return alg, err
+}
+
 // Open starts a fresh session for cfg. An empty token asks the manager to
 // assign one; a client-chosen token must be filename-safe and not
 // currently attached. A zero trace asks the manager to mint the session's
@@ -227,7 +239,7 @@ func (m *Manager) Open(token string, trace obs.TraceID, cfg Config) (*Session, e
 			return nil, err
 		}
 	}
-	alg, err := Build(cfg)
+	alg, err := buildSession(cfg)
 	if err != nil {
 		m.unclaim(token)
 		if minted {
@@ -280,7 +292,7 @@ func (m *Manager) Resume(token string, trace obs.TraceID, cfg Config) (*Session,
 	if err := m.claim(token, nil); err != nil {
 		return nil, 0, err
 	}
-	alg, err := Build(cfg)
+	alg, err := buildSession(cfg)
 	if err != nil {
 		m.unclaim(token)
 		return nil, 0, err

@@ -31,10 +31,6 @@ type Manager = lifecycle.Manager
 // lifecycle.Session.
 type Session = lifecycle.Session
 
-// Factory builds one algorithm copy for a session configuration. See
-// lifecycle.Factory.
-type Factory = lifecycle.Factory
-
 // CheckpointStore persists detach checkpoints. See store.CheckpointStore.
 type CheckpointStore = store.CheckpointStore
 
@@ -61,13 +57,10 @@ var (
 	ErrCheckpointNotFound = store.ErrNotFound
 )
 
-// Register adds (or replaces) an algorithm factory under the given name.
-func Register(name string, f Factory) { lifecycle.Register(name, f) }
-
-// Algorithms lists the registered algorithm names, sorted.
+// Algorithms lists the served algorithm names, sorted.
 func Algorithms() []string { return lifecycle.Algorithms() }
 
-// Build constructs the session algorithm for cfg.
+// Build constructs the algorithm for cfg. See lifecycle.Build.
 func Build(cfg Config) (stream.Algorithm, error) { return lifecycle.Build(cfg) }
 
 // NewManager creates a session manager persisting detach checkpoints in

@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"streamcover/internal/kk"
 	"streamcover/internal/obs"
-	"streamcover/internal/setcover"
 	"streamcover/internal/stream"
 	"streamcover/internal/workload"
 	"streamcover/internal/xrand"
@@ -522,29 +520,22 @@ func TestServeBadEdgeDetachesWithCheckpoint(t *testing.T) {
 	}
 }
 
-// slowAlg is a deliberately slow drop-in that falls behind the client.
-type slowAlg struct {
-	inner stream.Algorithm
-	delay time.Duration
-}
-
-func (a *slowAlg) Process(e stream.Edge) {
-	time.Sleep(a.delay)
-	a.inner.Process(e)
-}
-func (a *slowAlg) Finish() *setcover.Cover { return a.inner.Finish() }
-
-// TestServeSlowAlgorithmLosesNothing drives a slow algorithm faster than it
-// can consume: the connection reader falls behind and TCP pushes back on
-// the client — yet nothing is lost and the session finishes.
+// TestServeSlowAlgorithmLosesNothing drives a session far slower than its
+// client: a 256-copy ensemble, whose copies run one after another on the
+// session's goroutine, so the connection reader falls behind the client's
+// writes. Nothing is lost, and the result is the local run's.
 func TestServeSlowAlgorithmLosesNothing(t *testing.T) {
 	edges := testEdges(t)[:4096]
-	Register("slowtest", func(cfg Config, rng *xrand.Rand) stream.Algorithm {
-		return &slowAlg{inner: kk.New(cfg.N, cfg.M, rng), delay: 30 * time.Microsecond}
-	})
+	cfg := testConfig(edges)
+	cfg.Copies = 256
+	alg, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := stream.RunEdges(alg, edges)
+
 	srv := startServer(t, ServerConfig{})
 	c := dialT(t, srv)
-	cfg := Config{Algo: "slowtest", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed}
 	if _, err := c.Hello("", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -555,6 +546,10 @@ func TestServeSlowAlgorithmLosesNothing(t *testing.T) {
 	}
 	if res.Edges != len(edges) {
 		t.Fatalf("processed %d edges, want %d", res.Edges, len(edges))
+	}
+	if !res.Cover.Equal(local.Cover) || res.Space != local.Space {
+		t.Fatalf("served cover %d sets / space %+v, local %d sets / %+v",
+			len(res.Cover.Sets), res.Space, len(local.Cover.Sets), local.Space)
 	}
 }
 

@@ -40,7 +40,7 @@ type ServerConfig struct {
 }
 
 // Server accepts SCWIRE1 connections and feeds each session's edges
-// through the registered streaming algorithms. One goroutine per
+// through the served streaming algorithms. One goroutine per
 // connection reads frames and applies their edges — see the package
 // documentation for the full lifecycle. The server is pure
 // transport: session state lives in the lifecycle manager, checkpoints in

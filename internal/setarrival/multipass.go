@@ -120,34 +120,11 @@ func (t *MultiPassThreshold) Patched() int { return t.patched }
 // RunMultiPassSetArrival drives all p passes of t over a set-contiguous
 // edge-arrival stream (see RunSetArrival for the contiguity requirement).
 func RunMultiPassSetArrival(t *MultiPassThreshold, s stream.Stream) (*setcover.Cover, error) {
-	for pass := 0; ; pass++ {
-		s.Reset()
-		seen := make(map[setcover.SetID]bool)
-		cur := setcover.SetID(-1)
-		var elems []setcover.Element
-		flush := func() {
-			if cur >= 0 {
-				t.ProcessSet(cur, elems)
-				elems = elems[:0]
-			}
+	for {
+		if err := setPass(s, t.ProcessSet); err != nil {
+			return nil, err
 		}
-		for {
-			e, ok := s.Next()
-			if !ok {
-				break
-			}
-			if e.Set != cur {
-				if seen[e.Set] {
-					return nil, fmt.Errorf("setarrival: stream not set-contiguous: set %d recurs", e.Set)
-				}
-				flush()
-				cur = e.Set
-				seen[cur] = true
-			}
-			elems = append(elems, e.Elem)
-		}
-		flush()
-		if err := t.NextPass(); err != nil {
+		if t.NextPass() != nil {
 			break // that was the final pass
 		}
 	}

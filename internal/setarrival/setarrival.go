@@ -123,33 +123,42 @@ func (t *Threshold) ThresholdValue() int { return t.threshold }
 // stream.SetMajorShuffled): it groups each maximal run of edges with the
 // same set id into one set arrival. It returns an error if the stream is
 // not set-contiguous (a set id recurring after a different set intervened),
-// since silently feeding such a stream would not be the set-arrival model.
+// since silently feeding such a stream would not be the set-arrival model,
+// and the stream's own error if its pass fails.
 func RunSetArrival(t *Threshold, s stream.Stream) (*setcover.Cover, error) {
-	s.Reset()
+	if err := setPass(s, t.ProcessSet); err != nil {
+		return nil, err
+	}
+	return t.Finish(), nil
+}
+
+// setPass drives one pass of a set-contiguous stream, handing each maximal
+// run of edges with the same set id to process as one set arrival. The
+// element slice is reused after process returns.
+func setPass(s stream.Stream, process func(setcover.SetID, []setcover.Element)) error {
 	seen := make(map[setcover.SetID]bool)
 	cur := setcover.SetID(-1)
 	var elems []setcover.Element
-	flush := func() {
-		if cur >= 0 {
-			t.ProcessSet(cur, elems)
-			elems = elems[:0]
-		}
-	}
-	for {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
+	err := stream.Pass(s, func(e stream.Edge) error {
 		if e.Set != cur {
 			if seen[e.Set] {
-				return nil, fmt.Errorf("setarrival: stream not set-contiguous: set %d recurs", e.Set)
+				return fmt.Errorf("setarrival: stream not set-contiguous: set %d recurs", e.Set)
 			}
-			flush()
+			if cur >= 0 {
+				process(cur, elems)
+				elems = elems[:0]
+			}
 			cur = e.Set
 			seen[cur] = true
 		}
 		elems = append(elems, e.Elem)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	flush()
-	return t.Finish(), nil
+	if cur >= 0 {
+		process(cur, elems)
+	}
+	return nil
 }

@@ -544,6 +544,12 @@ func (r *Reader) Ints() []int { return varints[int](r, math.MinInt, math.MaxInt)
 // FillI32s decodes len(dst) signed varints into dst, with no length prefix,
 // failing on a value that overflows int32. Dense tables whose length is
 // implied by an earlier field load through it in one loop.
+//
+// It is kept out of line: inlined into another package, it exposes the
+// generic fillVarints call there, and that package's escape analysis then
+// moves a caller's stack buffer to the heap (dense.StampedSet.Load's chunk).
+//
+//go:noinline
 func (r *Reader) FillI32s(dst []int32) { fillVarints(r, dst, math.MinInt32, math.MaxInt32) }
 
 // I32sInto reads a slice written by I32s into dst, failing unless the

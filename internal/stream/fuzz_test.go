@@ -66,9 +66,10 @@ func FuzzDecode(f *testing.F) {
 // error; when Decode rejects, the file must either fail at open or end
 // every pass in a sticky error of the corruption family (never panic, hang,
 // or silently truncate a pass it claims completed). Each window drains one
-// pass with Next and, after Reset, one with NextBatch(5); the second is the
-// verified pass, which skips the CRC, whenever the first was clean. Every
-// pass at every window must agree on the edges and the error.
+// pass with Next, one with NextBatch(5) after Reset, and one through Pass,
+// which must return the pass's error itself; the later passes are verified
+// passes, which skip the CRC, whenever the first was clean. Every pass at
+// every window must agree on the edges and the error.
 func FuzzFile(f *testing.F) {
 	inst := setcover.MustNewInstance(5, [][]setcover.Element{{0, 1, 2}, {3, 4}})
 	edges := EdgesOf(inst)
@@ -117,19 +118,27 @@ func FuzzFile(f *testing.F) {
 				return
 			}
 			defer fs.Close()
-			for pass := 0; pass < 2; pass++ {
+			for pass := 0; pass < 3; pass++ {
 				var got []Edge
-				if pass == 0 {
+				var passErr error
+				switch pass {
+				case 0:
 					for e, ok := fs.Next(); ok; e, ok = fs.Next() {
 						got = append(got, e)
 					}
-				} else {
+					passErr = fs.Err()
+				case 1:
 					fs.Reset()
 					for b := fs.NextBatch(5); len(b) > 0; b = fs.NextBatch(5) {
 						got = append(got, b...)
 					}
+					passErr = fs.Err()
+				case 2:
+					passErr = Pass(fs, func(e Edge) error {
+						got = append(got, e)
+						return nil
+					})
 				}
-				passErr := fs.Err()
 				if i > 0 || pass > 0 {
 					if !slices.Equal(got, ref) || fmt.Sprint(passErr) != fmt.Sprint(refErr) {
 						t.Fatalf("window %d pass %d: %d edges, Err=%v; first pass: %d edges, Err=%v",

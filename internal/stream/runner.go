@@ -59,6 +59,31 @@ func StreamErr(s Stream) error {
 	return nil
 }
 
+// Pass drives one pass of s for a multi-pass consumer: it resets s and
+// hands every edge, in order, to fn, reading through NextBatch when s is a
+// Batcher. It stops at fn's first error and returns it; otherwise it
+// returns the stream's sticky error (StreamErr), so a pass that a corrupt
+// File cut short is reported, not mistaken for the end of the stream.
+func Pass(s Stream, fn func(Edge) error) error {
+	s.Reset()
+	if bs, ok := s.(Batcher); ok {
+		for batch := bs.NextBatch(BatchSize); len(batch) > 0; batch = bs.NextBatch(BatchSize) {
+			for _, e := range batch {
+				if err := fn(e); err != nil {
+					return err
+				}
+			}
+		}
+	} else {
+		for e, ok := s.Next(); ok; e, ok = s.Next() {
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+	}
+	return StreamErr(s)
+}
+
 // BatchSize is the chunk length Run uses when driving a BatchProcessor:
 // large enough to amortize dispatch, small enough that a batch of 8-byte
 // edges stays in L1.
