@@ -28,6 +28,7 @@ package fractional
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"streamcover/internal/setcover"
 	"streamcover/internal/space"
@@ -234,10 +235,19 @@ func Round(n, m int, s stream.Stream, sol *Solution, rng *xrand.Rand) (*setcover
 		return nil, fmt.Errorf("fractional: Round needs a solution")
 	}
 	boost := math.Log(float64(n)) + 1
+	// The coins flip in ascending set order, so one seed rounds to one
+	// cover.
+	sets := make([]setcover.SetID, 0, len(sol.X))
+	for set := range sol.X {
+		sets = append(sets, set)
+	}
+	slices.Sort(sets)
+	var ids []setcover.SetID
 	chosen := make(map[setcover.SetID]struct{})
-	for set, x := range sol.X {
-		if rng.Coin(math.Min(1, boost*x)) {
+	for _, set := range sets {
+		if rng.Coin(math.Min(1, boost*sol.X[set])) {
 			chosen[set] = struct{}{}
+			ids = append(ids, set)
 		}
 	}
 
@@ -258,10 +268,6 @@ func Round(n, m int, s stream.Stream, sol *Solution, rng *xrand.Rand) (*setcover
 	})
 	if err != nil {
 		return nil, err
-	}
-	ids := make([]setcover.SetID, 0, len(chosen))
-	for set := range chosen {
-		ids = append(ids, set)
 	}
 	for u := 0; u < n; u++ {
 		if cert[u] == setcover.NoSet && backup[u] != setcover.NoSet {

@@ -122,6 +122,40 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
+// TestRoundOneCoverPerSeed rounds a solution whose coins draw (boost·x
+// below 1 for some set) fifty times from one seed, and fails unless every
+// call returns the same cover.
+func TestRoundOneCoverPerSeed(t *testing.T) {
+	const n, m = 80, 400
+	w := workload.UniformRandom(xrand.New(3), n, m, 2, 6)
+	edges := stream.Arrange(w.Inst, stream.Random, xrand.New(4))
+	sol, err := Solve(n, m, stream.NewSlice(edges), Options{Delta: 0.002})
+	if err != nil {
+		t.Fatal(err)
+	}
+	draws := 0
+	for _, x := range sol.X {
+		if (math.Log(n)+1)*x < 1 {
+			draws++
+		}
+	}
+	if draws == 0 {
+		t.Fatalf("no coin of the %d sets in X draws", len(sol.X))
+	}
+	var first *setcover.Cover
+	for i := 0; i < 50; i++ {
+		cov, err := Round(n, m, stream.NewSlice(edges), sol, xrand.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = cov
+		} else if !cov.Equal(first) {
+			t.Fatalf("call %d: %d sets, first call %d; one seed must round to one cover", i, cov.Size(), first.Size())
+		}
+	}
+}
+
 func TestRoundProducesValidCover(t *testing.T) {
 	w := workload.Planted(xrand.New(7), 150, 800, 5, 0)
 	edges := stream.Arrange(w.Inst, stream.Random, xrand.New(8))

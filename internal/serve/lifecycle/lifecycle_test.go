@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"streamcover/internal/obs"
 	"streamcover/internal/serve/store"
@@ -614,6 +615,59 @@ func TestLifecycleMintSharedStoreRace(t *testing.T) {
 	wg.Wait()
 	if len(seen) != 32 {
 		t.Fatalf("minted %d distinct tokens, want 32", len(seen))
+	}
+}
+
+// blockingReserveStore is a MemStore whose Reserve reports its token on
+// entered, then waits for release to close.
+type blockingReserveStore struct {
+	*store.MemStore
+	entered chan string
+	release chan struct{}
+}
+
+func (s *blockingReserveStore) Reserve(token string) (bool, error) {
+	s.entered <- token
+	<-s.release
+	return s.MemStore.Reserve(token)
+}
+
+// TestLifecycleMintReservesConcurrently: minting holds its lock for the
+// counter only, so two minted opens are inside a slow store's Reserve at
+// once (a FileStore fsyncs there, a cluster store makes a round trip)
+// rather than one queueing behind the other.
+func TestLifecycleMintReservesConcurrently(t *testing.T) {
+	st := &blockingReserveStore{MemStore: store.NewMemStore(), entered: make(chan string, 2), release: make(chan struct{})}
+	mgr, err := NewManager(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := make(chan error, 2)
+	for range 2 {
+		go func() {
+			_, err := mgr.Open("", obs.TraceID{}, testConfig())
+			opened <- err
+		}()
+	}
+	var tokens []string
+	timeout := time.After(10 * time.Second)
+	for len(tokens) < 2 {
+		select {
+		case tok := <-st.entered:
+			tokens = append(tokens, tok)
+		case <-timeout:
+			close(st.release)
+			t.Fatalf("%d of 2 concurrent minted opens reached Reserve within 10 s", len(tokens))
+		}
+	}
+	close(st.release)
+	for range 2 {
+		if err := <-opened; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tokens[0] == tokens[1] {
+		t.Fatalf("both mints reserved %q", tokens[0])
 	}
 }
 

@@ -57,8 +57,8 @@ type managerStripe struct {
 // The attached-token table is striped by token hash: sessions on different
 // tokens attach, flush and detach without sharing a lock. Server-chosen
 // token minting stays globally consistent — one mint lock serializes the
-// counter and its store consultation — but minting is off the per-frame
-// path entirely.
+// counter, and the store's Reserve, outside it, settles each token
+// atomically — and minting is off the per-frame path entirely.
 type Manager struct {
 	store     store.CheckpointStore
 	storeName string
@@ -173,21 +173,32 @@ func (m *Manager) attached(token string) bool {
 // resume) or another shard's reservation over a shared store — so walking
 // the counter with Reserve alone skips every stored token. The caller owns
 // the reservation: it checkpoints over it, or Deletes it on failure.
+//
+// Reserve runs outside the mint lock: every store decides a race for one
+// token atomically, and the counter hands each concurrent mint its own,
+// so minted opens do not queue behind each other's store round trips.
 func (m *Manager) mintToken() (string, error) {
-	m.mintMu.Lock()
-	defer m.mintMu.Unlock()
 	for {
-		m.nextID++
-		tok := fmt.Sprintf("s%06d", m.nextID)
-		if m.attached(tok) {
-			continue
-		}
+		tok := m.nextToken()
 		won, err := m.store.Reserve(tok)
 		if err != nil {
 			return "", fmt.Errorf("serve: minting token: %w", err)
 		}
 		if won {
 			return tok, nil
+		}
+	}
+}
+
+// nextToken advances the mint counter to the next token not attached
+// here.
+func (m *Manager) nextToken() string {
+	m.mintMu.Lock()
+	defer m.mintMu.Unlock()
+	for {
+		m.nextID++
+		if tok := fmt.Sprintf("s%06d", m.nextID); !m.attached(tok) {
+			return tok
 		}
 	}
 }

@@ -15,7 +15,9 @@ package serve
 // coalescing frame.IO. Decode is the server's: a pooled frame.IO read (CRC
 // check) plus parseEdgesInto into a MaxBatch edge buffer. Both report
 // ns/edge and allocate nothing per op. EncodeWide and DecodeWide are the
-// same on random set IDs wide enough for 3-byte varints.
+// same on random set IDs wide enough for 3-byte varints. DecodeKernel is
+// Decode without its frame reads: parseEdgesInto alone over the frame
+// bodies, read and CRC-checked once before the timer starts.
 //
 // L3 (BenchmarkWireEdgesPipe) is one whole kk session over net.Pipe: a
 // Client drives Server.handle through hello, the frames and finish, so the
@@ -179,6 +181,34 @@ func benchWideStream(m int) []stream.Edge {
 		edges[i] = stream.Edge{Set: setcover.SetID(rng.IntN(m)), Elem: setcover.Element(rng.IntN(benchN))}
 	}
 	return edges
+}
+
+// BenchmarkWireEdgesDecodeKernel is the L1 decode rung without the frame
+// reads: parseEdgesInto alone over the bodies of servebench's frames.
+func BenchmarkWireEdgesDecodeKernel(b *testing.B) {
+	edges := benchWireStream()
+	var wire bytes.Buffer
+	f := newFrameIO(&wire)
+	frames := sendStream(b, f, edges)
+	bodies := make([][]byte, frames)
+	for j := range bodies {
+		payload, err := f.Read()
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[j] = bytes.Clone(payload[1:])
+	}
+	dst := make([]stream.Edge, MaxBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			if _, err := parseEdgesInto(body, dst, benchN, benchM); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	reportNsPerEdge(b, len(edges))
 }
 
 // benchDecode times the server's side of L1 on edges sent in

@@ -136,14 +136,17 @@ var encodeShuffle [256][16]byte
 var encodeLength [256]uint8
 
 // decodeBlock is the block kernel (edges_amd64.s). From b[pos:], each step
-// loads 16 bytes, looks the continuation bits of the first 12 up in index,
-// spreads the edges they hold into 16-bit lanes with shuffle's PSHUFB
-// control, checks every lane below bound (m, n, m, n, ...; each at most
-// 2^14) and stores four widened edges. It returns how many edges it
-// decoded and the position after them, and stops when fewer than 16 bytes
-// or 4 dst slots are left, when the block's first edge has a varint of 3
-// or more bytes, or when one of its edges is out of range; it stores no
-// edge before checking it.
+// looks the continuation bits of the next 12 bytes up in index, loads 16
+// bytes, spreads the edges they hold into 16-bit lanes with shuffle's
+// PSHUFB control, checks every lane below bound (m, n, m, n, ...; each at
+// most 2^14) and stores four widened edges. The continuation bits come
+// from a 64-bit mask kept in a register, gathered 64 bytes at a time (16
+// near the end of b) and shifted right by each step's bytes, so a step
+// waits on the one before only for an AND, a table load and a shift. It
+// returns how many edges it decoded and the position after them, and
+// stops when fewer than 16 bytes or 4 dst slots are left, when the
+// block's first edge has a varint of 3 or more bytes, or when one of its
+// edges is out of range; it stores no edge before checking it.
 //
 //go:noescape
 func decodeBlock(b []byte, pos int, dst []Edge, bound *[8]uint16, index *[1 << 12]uint32, shuffle *[blockLayouts][16]byte) (k, next int)

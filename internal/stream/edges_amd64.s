@@ -1,11 +1,40 @@
 #include "textflag.h"
 
+// MASK64 sets dst to the continuation bits of b[at:at+64], bit i that of
+// b[at+i]. It clobbers X0–X3, R12, R15 and CX.
+#define MASK64(at, dst) \
+	MOVOU    (SI)(at*1), X0; \
+	MOVOU    16(SI)(at*1), X1; \
+	MOVOU    32(SI)(at*1), X2; \
+	MOVOU    48(SI)(at*1), X3; \
+	PMOVMSKB X0, dst; \
+	PMOVMSKB X1, R12; \
+	PMOVMSKB X2, CX; \
+	PMOVMSKB X3, R15; \
+	SHLQ     $16, R12; \
+	SHLQ     $32, CX; \
+	SHLQ     $48, R15; \
+	ORQ      R12, dst; \
+	ORQ      CX, R15; \
+	ORQ      R15, dst
+
 // func decodeBlock(b []byte, pos int, dst []Edge, bound *[8]uint16, index *[1 << 12]uint32, shuffle *[blockLayouts][16]byte) (k, next int)
 //
 // Registers: SI b, AX pos, R8 the last pos a 16-byte load may start at;
-// DI dst, CX edges decoded, R9 the last count a 4-edge store may start at;
-// R10 index, R11 shuffle; X7 bound, X5 0x007f and X6 0x3f80 in every
-// lane, X4 zero.
+// DX the continuation bits of b[AX:R14], bit 0 that of b[AX], and R13
+// those of b[R14:R14+64] once fetched; DI dst, BX edges decoded, R9 the
+// last count a 4-edge store may start at; R10 index, R11 shuffle; per
+// step CX the bytes its edges take, R15 how many edges, and R12 the index
+// entry, then the offset of the PSHUFB control, then the range check's
+// mask; X7 bound, X5 0x007f and X6 0x3f80 in every lane, X4 zero.
+//
+// Only DX lies on the chain from one step to the next: an AND, a table
+// load and a shift. The data load, the PSHUFB, the range check and the
+// stores hang off it. A step needs 16 bytes of b and 12 bits of DX, so
+// the steps run while DX holds at least 16 bits. Below that, the bits of
+// the next 64 bytes, fetched while the steps ran, are appended to DX and
+// the 64 after those fetched; where they do not fit in b, DX is refilled
+// at AX, from 64 bytes or, at the window's tail, from 16.
 TEXT ·decodeBlock(SB), NOSPLIT, $0-96
 	MOVQ b_base+0(FP), SI
 	MOVQ b_len+8(FP), R8
@@ -15,7 +44,7 @@ TEXT ·decodeBlock(SB), NOSPLIT, $0-96
 	MOVQ bound+56(FP), DX
 	MOVQ index+64(FP), R10
 	MOVQ shuffle+72(FP), R11
-	XORQ CX, CX
+	XORQ BX, BX
 	SUBQ $16, R8
 	JLT  done
 	SUBQ $4, R9
@@ -27,21 +56,56 @@ TEXT ·decodeBlock(SB), NOSPLIT, $0-96
 	PSLLW   $7, X6
 	PXOR    X4, X4
 
-loop:
-	// Unsigned, so a negative pos stops before any load.
+refill:
+	// Fewer than 16 bytes left stops the kernel; until the next refill,
+	// R14 bounds every load. Unsigned, so a negative pos stops before any
+	// load.
 	CMPQ AX, R8
 	JHI  done
-	CMPQ CX, R9
-	JHI  done
+	LEAQ 48(AX), R12
+	CMPQ R12, R8
+	JHI  narrow
+	MASK64(AX, DX)
+	LEAQ 64(AX), R14
+	JMP  fetch
+
+narrow:
 	MOVOU    (SI)(AX*1), X0
-	PMOVMSKB X0, BX
-	ANDL     $0xfff, BX
-	MOVBLZX  1(R10)(BX*4), R12 // edges in the block
-	TESTL    R12, R12
-	JZ       done
-	MOVWLZX  2(R10)(BX*4), R13 // offset of the PSHUFB control
-	MOVOU    (R11)(R13*1), X1
-	PSHUFB   X1, X0
+	PMOVMSKB X0, DX
+	LEAQ     16(AX), R14
+	JMP      step
+
+extend:
+	// DX holds 4–15 bits; R13's follow them, and the first 64 are kept.
+	MOVQ R14, CX
+	SUBQ AX, CX
+	SHLQ CX, R13
+	ORQ  R13, DX
+	LEAQ 64(AX), R14
+
+fetch:
+	LEAQ 48(R14), R12
+	CMPQ R12, R8
+	JHI  step
+	MASK64(R14, R13)
+
+step:
+	CMPQ    BX, R9
+	JHI     done
+	MOVL    DX, R12
+	ANDL    $0xfff, R12
+	MOVBLZX (R10)(R12*4), CX // bytes the block's edges take
+	MOVL    (R10)(R12*4), R12
+	MOVOU   (SI)(AX*1), X0
+	SHRQ    CX, DX
+	ADDQ    CX, AX
+	MOVL    R12, R15
+	SHRL    $16, R12         // offset of the PSHUFB control
+	SHRL    $8, R15
+	ANDL    $0xff, R15       // edges in the block
+	JZ      done             // a first varint of 3 or more bytes: CX is 0
+	MOVOU   (R11)(R12*1), X1
+	PSHUFB  X1, X0
 
 	// Each lane holds a varint's first byte, then its second or zero:
 	// v = lane&0x7f | lane>>1&0x3f80.
@@ -54,23 +118,34 @@ loop:
 	// Every lane must lie below its bound; unused lanes are zero.
 	MOVO     X7, X3
 	PCMPGTW  X0, X3
-	PMOVMSKB X3, R13
-	CMPL     R13, $0xffff
-	JNE      done
+	PMOVMSKB X3, R12
+	CMPL     R12, $0xffff
+	JNE      undo
 
 	// Widen the eight 16-bit lanes to four Edge{Set, Elem int32}.
 	MOVO      X0, X1
 	PUNPCKLWL X4, X0
 	PUNPCKHWL X4, X1
-	MOVOU     X0, (DI)(CX*8)
-	MOVOU     X1, 16(DI)(CX*8)
-	MOVBLZX   (R10)(BX*4), BX // bytes the block's edges take
-	ADDQ      BX, AX
-	ADDQ      R12, CX
-	JMP       loop
+	MOVOU     X0, (DI)(BX*8)
+	MOVOU     X1, 16(DI)(BX*8)
+	ADDQ      R15, BX
+
+	// At least 16 bits left: the next step. Else extend DX if the fetched
+	// bits fit in b, or refill it.
+	LEAQ 16(AX), R12
+	CMPQ R12, R14
+	JLE  step
+	LEAQ 48(R14), R12
+	CMPQ R12, R8
+	JLE  extend
+	JMP  refill
+
+undo:
+	// An edge out of range: stop before the block.
+	SUBQ CX, AX
 
 done:
-	MOVQ CX, k+80(FP)
+	MOVQ BX, k+80(FP)
 	MOVQ AX, next+88(FP)
 	RET
 

@@ -89,42 +89,46 @@ func decodeAllVia(kernel func([]byte, int, []Edge, uint64, uint64) (int, int), b
 var edgeShapes = []uint64{1, 127, 128, 1<<14 - 1, 1 << 14, 1<<14 + 1, math.MaxInt64}
 
 // checkEdgeKernels decodes data from start into a dst of dstLen slots
-// under every shape pair and (fm, fn), through the scalar kernel, the
-// block kernel and decodeEdgesReference, and fails unless all agree on
-// the edges, the count and the stop position, and, through decodeAllVia,
-// on the first rejection.
+// under every shape pair and (fm, fn) (checkEdgeKernelsUnder).
 func checkEdgeKernels(t *testing.T, data []byte, start, dstLen int, fm, fn uint64) {
+	t.Helper()
+	for _, m := range edgeShapes {
+		for _, n := range edgeShapes {
+			checkEdgeKernelsUnder(t, data, start, dstLen, m, n)
+		}
+	}
+	checkEdgeKernelsUnder(t, data, start, dstLen, fm, fn)
+}
+
+// checkEdgeKernelsUnder decodes data from start into a dst of dstLen
+// slots under (m, n) through the scalar kernel, the block kernel and
+// decodeEdgesReference, and fails unless all agree on the edges, the
+// count and the stop position, and, through decodeAllVia, on the first
+// rejection.
+func checkEdgeKernelsUnder(t *testing.T, data []byte, start, dstLen int, m, n uint64) {
 	t.Helper()
 	pos := start % (len(data) + 1)
 	want := make([]Edge, dstLen)
 	got := make([]Edge, dstLen)
-	check := func(m, n uint64) {
-		wk, wpos := decodeEdgesReference(data, pos, want, m, n)
-		for _, block := range kernelPaths() {
-			k, next := decodeEdgesVia(block, data, pos, got, m, n)
-			if k != wk || next != wpos || !slices.Equal(got[:k], want[:wk]) {
-				t.Fatalf("m=%d n=%d pos=%d len(dst)=%d block=%v: %d edges to %d, reference %d to %d",
-					m, n, pos, dstLen, block, k, next, wk, wpos)
-			}
-		}
-		wk, wpos, werr := decodeAllVia(func(_ []byte, p int, _ []Edge, _, _ uint64) (int, int) { return 0, p }, data, pos, want, m, n)
-		for _, block := range kernelPaths() {
-			kernel := func(b []byte, p int, dst []Edge, m, n uint64) (int, int) {
-				return decodeEdgesVia(block, b, p, dst, m, n)
-			}
-			k, next, err := decodeAllVia(kernel, data, pos, got, m, n)
-			if k != wk || next != wpos || fmt.Sprint(err) != fmt.Sprint(werr) || !slices.Equal(got[:k], want[:wk]) {
-				t.Fatalf("m=%d n=%d pos=%d len(dst)=%d block=%v, caller loop: %d edges to %d (%v), reference %d to %d (%v)",
-					m, n, pos, dstLen, block, k, next, err, wk, wpos, werr)
-			}
+	wk, wpos := decodeEdgesReference(data, pos, want, m, n)
+	for _, block := range kernelPaths() {
+		k, next := decodeEdgesVia(block, data, pos, got, m, n)
+		if k != wk || next != wpos || !slices.Equal(got[:k], want[:wk]) {
+			t.Fatalf("m=%d n=%d pos=%d len(dst)=%d block=%v: %d edges to %d, reference %d to %d",
+				m, n, pos, dstLen, block, k, next, wk, wpos)
 		}
 	}
-	for _, m := range edgeShapes {
-		for _, n := range edgeShapes {
-			check(m, n)
+	wk, wpos, werr := decodeAllVia(func(_ []byte, p int, _ []Edge, _, _ uint64) (int, int) { return 0, p }, data, pos, want, m, n)
+	for _, block := range kernelPaths() {
+		kernel := func(b []byte, p int, dst []Edge, m, n uint64) (int, int) {
+			return decodeEdgesVia(block, b, p, dst, m, n)
+		}
+		k, next, err := decodeAllVia(kernel, data, pos, got, m, n)
+		if k != wk || next != wpos || fmt.Sprint(err) != fmt.Sprint(werr) || !slices.Equal(got[:k], want[:wk]) {
+			t.Fatalf("m=%d n=%d pos=%d len(dst)=%d block=%v, caller loop: %d edges to %d (%v), reference %d to %d (%v)",
+				m, n, pos, dstLen, block, k, next, err, wk, wpos, werr)
 		}
 	}
-	check(fm, fn)
 }
 
 // servebenchEdges is servebench's session stream (planted n=300, m=4000,
@@ -171,6 +175,155 @@ func badEdgeAt(off int) []byte {
 	return b
 }
 
+// seamM and seamN bound the sets and elements of the seam frames' filler
+// edges: a 2-byte set of seamM, or element of seamN, is out of range.
+const seamM, seamN = 1000, 300
+
+// seamReach is how far past the start the seam cases place a stop: past
+// the block kernel's first 64-byte refill, the fetched 64 bytes appended
+// after it, and the 16-byte refills at the window's tail.
+const seamReach = 160
+
+// seamSlack is how far short of the frame's end the block kernel's window
+// ends (blockSlack on amd64).
+const seamSlack = 2*binary.MaxVarintLen64 - 6
+
+// seamID is an ID below bound taking a 2-byte varint if wide, else 1.
+func seamID(rng *xrand.Rand, bound int, wide bool) uint64 {
+	if wide {
+		return uint64(128 + rng.IntN(bound-128))
+	}
+	return uint64(rng.IntN(128))
+}
+
+// fillEdges appends filler edges to b until it is to bytes long and
+// returns it with the count of edges appended: edges of 2 to 4 bytes,
+// their IDs 1- or 2-byte varints below (seamM, seamN), of random sizes or,
+// if tight, in runs of 4, 3, 3 and 2 bytes, which fill a block's 12 bytes
+// and start its last edge at byte 10. A gap of one byte gets a lone
+// 1-byte varint, a truncated edge.
+func fillEdges(rng *xrand.Rand, b []byte, to int, tight bool) ([]byte, int) {
+	edges := 0
+	for ; len(b) < to; edges++ {
+		gap, size := to-len(b), 2+rng.IntN(3)
+		if tight {
+			size = [4]int{4, 3, 3, 2}[edges%4]
+		}
+		switch {
+		case gap == 1:
+			return append(b, byte(rng.IntN(128))), edges
+		case gap <= 4:
+			size = gap
+		case gap-size == 1:
+			size--
+		}
+		b = appendSeamEdge(rng, b, size)
+	}
+	return b, edges
+}
+
+// appendSeamEdge appends a filler edge of size bytes, 2 to 4.
+func appendSeamEdge(rng *xrand.Rand, b []byte, size int) []byte {
+	wideSet := size == 4 || size == 3 && rng.IntN(2) == 0
+	b = binary.AppendUvarint(b, seamID(rng, seamM, wideSet))
+	return binary.AppendUvarint(b, seamID(rng, seamN, size == 4 || size == 3 && !wideSet))
+}
+
+// fillBlocks appends filler edges to b in blocks of four, each 8 to 12
+// bytes long and so one step of the block kernel, until b is to bytes
+// long; to-len(b) must be 0, 8 to 12, or 16 or more.
+func fillBlocks(rng *xrand.Rand, b []byte, to int) []byte {
+	for gap := to - len(b); gap > 0; gap = to - len(b) {
+		size := 8 + rng.IntN(5)
+		if gap <= 12 {
+			size = gap
+		} else {
+			size = min(size, gap-8)
+		}
+		sizes := [4]int{2, 2, 2, 2}
+		for extra := size - 8; extra > 0; {
+			if e := rng.IntN(4); sizes[e] < 4 {
+				sizes[e]++
+				extra--
+			}
+		}
+		for _, z := range sizes {
+			b = appendSeamEdge(rng, b, z)
+		}
+	}
+	return b
+}
+
+// A seamCase is a frame, decoded from start, in which the block kernel
+// stops at a chosen byte offset from start under each of bounds, after
+// the given count of edges.
+type seamCase struct {
+	data   []byte
+	start  int
+	bounds [][2]uint64
+	before int
+}
+
+// seamCases places each of the block kernel's stops at every byte offset
+// from 0 to seamReach past starts 0–3, behind start bytes whose
+// continuation bits are all set: a 3-byte set or element varint, which
+// the kernel leaves to the scalar one in range and which stops the caller
+// out of range; a set of seamM or element of seamN, out of range; and the
+// end of the kernel's window, after random or tight (fillEdges) edges, or
+// 12 to 17 bytes after a step that ends its 12 bytes with a 2-byte edge.
+// With dst lengths around the count before each stop, the stops fall on
+// both sides of every refill of the kernel's continuation-bit mask.
+func seamCases() []seamCase {
+	rng := xrand.New(20261020)
+	var cases []seamCase
+	for start := 0; start < 4; start++ {
+		prefix := bytes.Repeat([]byte{0xff}, start)
+		frame := func(off int, stop []uint64) ([]byte, int) {
+			b, before := fillEdges(rng, slices.Clone(prefix), start+off, false)
+			for _, v := range stop {
+				b = binary.AppendUvarint(b, v)
+			}
+			b, _ = fillEdges(rng, b, start+2*seamReach, false)
+			return b, before
+		}
+		for off := 0; off <= seamReach; off++ {
+			b, before := frame(off, []uint64{1<<14 + uint64(rng.IntN(1<<20)), 5})
+			cases = append(cases, seamCase{b, start, [][2]uint64{{1 << 21, seamN}, {1 << 14, seamN}}, before})
+			b, before = frame(off, []uint64{seamM, 5})
+			cases = append(cases, seamCase{b, start, [][2]uint64{{seamM, seamN}}, before})
+			if off > 0 {
+				b, before = frame(off-1, []uint64{7, 1<<14 + uint64(rng.IntN(1<<20))})
+				cases = append(cases, seamCase{b, start, [][2]uint64{{seamM, 1 << 21}, {seamM, 1 << 14}}, before})
+				b, before = frame(off-1, []uint64{7, seamN})
+				cases = append(cases, seamCase{b, start, [][2]uint64{{seamM, seamN}}, before})
+			}
+			window := func(b []byte) {
+				before, _ := decodeEdgesReference(b, start, make([]Edge, len(b)), seamM, seamN)
+				cases = append(cases, seamCase{b, start, [][2]uint64{{seamM, seamN}}, before})
+			}
+			for _, tight := range []bool{false, true} {
+				b, _ := fillEdges(rng, slices.Clone(prefix), start+off+seamSlack, tight)
+				window(b)
+			}
+			// A step at off that fills its 12 bytes and starts its last
+			// edge at byte 10, with the window ending 12 to 17 bytes
+			// later: the kernel must take the step only if it has 16
+			// bytes, or take none of its edges past the scalar kernel's.
+			if off == 0 || off >= 16 {
+				for end := off + 12; end <= off+17; end++ {
+					b := fillBlocks(rng, slices.Clone(prefix), start+off)
+					for _, z := range []int{4, 3, 3, 2} {
+						b = appendSeamEdge(rng, b, z)
+					}
+					b, _ = fillEdges(rng, b, start+end+seamSlack, false)
+					window(b)
+				}
+			}
+		}
+	}
+	return cases
+}
+
 // FuzzEdgeKernels holds DecodeEdges' block and scalar kernels to a
 // per-field binary.Uvarint reference on arbitrary bytes, from a fuzzed
 // start and into a fuzzed dst length, under the shapes of edgeShapes and
@@ -181,6 +334,12 @@ func FuzzEdgeKernels(f *testing.F) {
 	for off := 0; off < 16; off++ {
 		f.Add(badEdgeAt(off), uint16(0), uint16(200), uint64(1<<14), uint64(2))
 	}
+	for i, c := range seamCases() {
+		if i%4 == c.start {
+			bound := c.bounds[i%len(c.bounds)]
+			f.Add(c.data, uint16(c.start), uint16(max(0, c.before+i%5-2)), bound[0], bound[1])
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, start, dstLen uint16, fm, fn uint64) {
 		checkEdgeKernels(t, data, int(start), int(dstLen%2048), fm, fn)
 	})
@@ -190,7 +349,9 @@ func FuzzEdgeKernels(f *testing.F) {
 // 1 to 3 bytes, with 3-byte set IDs absent, sparse (below 18,000, as in
 // BenchmarkFileReplay) or dense, on bit-flipped copies of them, on cuts of
 // one frame at every length near its end, and on the fuzz seeds at every
-// start and several dst lengths.
+// start and several dst lengths; and checkEdgeKernelsUnder on the seam
+// cases under their bounds, into dst lengths from 4 below to 4 above the
+// count before each stop.
 func TestEdgeKernelsAgree(t *testing.T) {
 	rng := xrand.New(20261018)
 	setMax := []uint64{1 << 7, 1 << 14, 18000, 1 << 21}
@@ -227,6 +388,13 @@ func TestEdgeKernelsAgree(t *testing.T) {
 		for start := 0; start < 16; start++ {
 			for _, dstLen := range []int{0, 3, 4, 9, 1024} {
 				checkEdgeKernels(t, b, start, dstLen, 4000, 300)
+			}
+		}
+	}
+	for _, c := range seamCases() {
+		for dstLen := max(0, c.before-4); dstLen <= c.before+4; dstLen++ {
+			for _, bound := range c.bounds {
+				checkEdgeKernelsUnder(t, c.data, c.start, dstLen, bound[0], bound[1])
 			}
 		}
 	}
